@@ -15,6 +15,7 @@ import argparse
 import json
 import os
 import sys
+from collections import Counter
 from typing import List, Optional
 
 from . import __version__, cpu, maze_analysis, mazegen, prng, romscan
@@ -88,6 +89,21 @@ def _cmd_maze_render(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _graph_summary(rho: prng.RhoDecomposition) -> dict:
+    image_size = len(set(rho.successor))
+    cycle_lengths = rho.cycle_lengths()
+    tails = Counter(rho.tail)
+    max_tail = max(tails)
+    return {
+        "cycle_count": len(cycle_lengths),
+        "cycle_lengths": cycle_lengths,
+        "image_size": image_size,
+        "states_without_preimage": prng.WORD_COUNT - image_size,
+        "max_tail": max_tail,
+        "tail_histogram": [tails[t] for t in range(max_tail + 1)],
+    }
+
+
 def _cmd_prng(args: argparse.Namespace) -> int:
     if args.mode == "survey":
         surveys = prng.canonical_seed_survey()
@@ -110,6 +126,12 @@ def _cmd_prng(args: argparse.Namespace) -> int:
             "all_mismatch_low_bytes_equal": all(m.low_bytes_equal for m in report.mismatches),
             "high_delta_plus_one": plus_one,
             "high_delta_minus_one": minus_one,
+        }
+    elif args.mode == "graph":
+        results = {
+            "states": prng.WORD_COUNT,
+            "buggy": _graph_summary(prng.rho_decomposition(prng.buggy_step)),
+            "correct": _graph_summary(prng.rho_decomposition(prng.correct_step)),
         }
     else:  # oracle-check
         buggy_ok = all(
@@ -212,7 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_maze_render)
 
     p = sub.add_parser("prng", help="exhaustive generator analyses")
-    p.add_argument("--mode", choices=["survey", "compare", "oracle-check"], required=True)
+    p.add_argument("--mode", choices=["survey", "compare", "oracle-check", "graph"], required=True)
     p.set_defaults(func=_cmd_prng)
 
     p = sub.add_parser("scan", help="search files for a byte signature")

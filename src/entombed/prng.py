@@ -22,6 +22,8 @@ pure, so the module is safe to use from any number of threads.
 
 from __future__ import annotations
 
+from array import array
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, List
 
@@ -34,7 +36,13 @@ def _check_word(value: int, name: str = "state") -> None:
 
 
 def correct_step(state: int) -> int:
-    """Advance the intended generator: (5 * state + 1) mod 65536."""
+    """Advance the intended generator: (5 * state + 1) mod 65536.
+
+    Its period is the full 65536 from every seed. That follows from the
+    Hull-Dobell theorem (Knuth, TAOCP Vol. 2, 3.2.1.2): the increment
+    c = 1 is odd, and a - 1 = 4 is divisible by 4, the only prime factor
+    of the modulus. The tests also check it exhaustively.
+    """
     _check_word(state)
     return (5 * state + 1) & 0xFFFF
 
@@ -173,11 +181,108 @@ def orbit_survey(seed: int, steps: int, step: Callable[[int], int] = buggy_step)
     return OrbitStats(seed=seed, steps=steps, distinct_values=len(seen), returns_to_seed=False)
 
 
+# Labels a state carries in the tail table while the decomposition runs.
+_UNSEEN = -1
+_ON_PATH = -2
+
+
+@dataclass(frozen=True)
+class RhoDecomposition:
+    """The functional graph of a 16-bit step map, labelled state by state.
+
+    Every orbit of a map on a finite set is rho-shaped: a tail of distinct
+    states leading into a cycle (Flajolet & Odlyzko, "Random Mapping
+    Statistics", EUROCRYPT '89). ``successor[state]`` is ``step(state)``;
+    ``tail[state]`` is the number of steps before the state's orbit enters
+    its cycle (0 for a state on a cycle); ``cycle[state]`` is that cycle's
+    length. The orbit from ``state`` thus holds ``tail + cycle`` distinct
+    values, the state itself included.
+    """
+
+    successor: array
+    tail: array
+    cycle: array
+
+    def cycle_lengths(self) -> List[int]:
+        """Length of every cycle, one entry per cycle, in ascending order."""
+        # A cycle of length L holds exactly L states with tail 0.
+        on_cycle = Counter(c for t, c in zip(self.tail, self.cycle) if t == 0)
+        return [length for length in sorted(on_cycle) for _ in range(on_cycle[length] // length)]
+
+
+def rho_decomposition(step: Callable[[int], int] = buggy_step) -> RhoDecomposition:
+    """Label all 65536 states of ``step`` with their tail and cycle lengths.
+
+    One pass, O(65536) time and memory, no recursion: ``step`` is called
+    once per state to build the successor table, then each unlabelled
+    state is walked forward, marking the states on the walk, until it
+    meets a labelled state (the walk joins a known tree or cycle) or a
+    marked one (the walk has closed a new cycle); the walk's states are
+    then labelled back to front. Every state is walked exactly once.
+
+    Raises ``ValueError`` naming the state if ``step`` maps a state
+    outside [0, 0xFFFF].
+    """
+    successor = array("H", bytes(2 * WORD_COUNT))
+    for state in range(WORD_COUNT):
+        nxt = step(state)
+        if not 0 <= nxt <= 0xFFFF:
+            raise ValueError(f"step maps state 0x{state:04x} to {nxt!r}, outside [0, 0xFFFF]")
+        successor[state] = nxt
+    tail = array("l", [_UNSEEN]) * WORD_COUNT
+    cycle = array("l", [0]) * WORD_COUNT
+    path = array("H")
+    for start in range(WORD_COUNT):
+        if tail[start] != _UNSEEN:
+            continue
+        state = start
+        while tail[state] == _UNSEEN:
+            tail[state] = _ON_PATH
+            path.append(state)
+            state = successor[state]
+        if tail[state] == _ON_PATH:
+            entry = path.index(state)
+            length = len(path) - entry
+            for member in path[entry:]:
+                tail[member] = 0
+                cycle[member] = length
+            del path[entry:]
+        distance, length = tail[state], cycle[state]
+        for member in reversed(path):
+            distance += 1
+            tail[member] = distance
+            cycle[member] = length
+        del path[:]
+    return RhoDecomposition(successor, tail, cycle)
+
+
 def canonical_seed_survey(
     steps: int = WORD_COUNT, step: Callable[[int], int] = buggy_step
 ) -> List[OrbitStats]:
-    """Run :func:`orbit_survey` from each of the 256 canonical seeds."""
-    return [orbit_survey(canonical_seed(b), steps, step) for b in range(256)]
+    """Size the orbit of each of the 256 canonical seeds after ``steps`` steps.
+
+    Gives exactly what :func:`orbit_survey` gives for each seed, read off
+    one :func:`rho_decomposition` of ``step`` (O(65536), whatever
+    ``steps`` is) instead of 256 walks. A seed with tail ``t`` and cycle
+    ``c`` revisits a value first at step ``t + c``: if ``steps`` reaches
+    it, the orbit has ``t + c`` distinct values and returns to the seed
+    exactly when ``t == 0``; otherwise it has ``steps + 1`` distinct
+    values and has not returned. For :func:`correct_step` every seed comes
+    back after 65536 steps, as Hull-Dobell predicts (see its docstring).
+    """
+    if steps < 1:
+        raise ValueError(f"steps must be >= 1, got {steps!r}")
+    rho = rho_decomposition(step)
+    surveys = []
+    for b in range(256):
+        seed = canonical_seed(b)
+        first_repeat = rho.tail[seed] + rho.cycle[seed]
+        if steps >= first_repeat:
+            stats = OrbitStats(seed, steps, first_repeat, rho.tail[seed] == 0)
+        else:
+            stats = OrbitStats(seed, steps, steps + 1, False)
+        surveys.append(stats)
+    return surveys
 
 
 def max_distinct_over_canonical_seeds(

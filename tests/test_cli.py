@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from entombed import __version__, cli, romscan
+from entombed import __version__, cli, prng, romscan
 
 
 def run_cli(capsys, *argv):
@@ -93,6 +93,32 @@ class TestPrng:
             "historical_carry_matches_buggy": True,
             "fixed_carry_matches_correct": True,
         }
+
+    def test_graph_reports_functional_graph_of_both_steps(self, capsys):
+        code, out, _ = run_cli(capsys, "prng", "--mode", "graph")
+        assert code == 0
+        envelope = parse_envelope(out)
+        assert envelope["parameters"] == {"mode": "graph"}
+        results = envelope["results"]
+        assert results["states"] == 65536
+        expected = {
+            "buggy": (prng.buggy_step, [768], 13209, 451),
+            "correct": (prng.correct_step, [65536], 0, 0),
+        }
+        for name, (step, cycle_lengths, without_preimage, max_tail) in expected.items():
+            graph = results[name]
+            image_size = len({step(s) for s in range(65536)})
+            assert graph["image_size"] == image_size == 65536 - without_preimage
+            assert graph["states_without_preimage"] == without_preimage
+            assert graph["cycle_lengths"] == cycle_lengths
+            assert graph["cycle_count"] == len(cycle_lengths)
+            assert graph["max_tail"] == max_tail
+            histogram = graph["tail_histogram"]
+            assert len(histogram) == max_tail + 1
+            assert sum(histogram) == 65536
+            # tail 0 holds exactly the states on cycles
+            assert histogram[0] == sum(cycle_lengths)
+            assert histogram[-1] > 0
 
     def test_mode_is_required(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -203,6 +229,7 @@ class TestEnvelope:
         [
             ["maze-render", "--rows", "3", "--format", "json"],
             ["stats", "--mazes", "1", "--seed", "3"],
+            ["prng", "--mode", "graph"],
         ],
     )
     def test_json_round_trips_byte_identically(self, capsys, argv):

@@ -147,3 +147,67 @@ class TestMaxDistinct:
     def test_single_step_survey(self):
         max_distinct, _ = prng.max_distinct_over_canonical_seeds(steps=1)
         assert max_distinct == 1
+
+
+def _low_byte_square_plus_one(state):
+    """A map with 256 separate 2-cycles (one per high byte) and tails up to 5."""
+    return (state & 0xFF00) | (((state & 0xFF) ** 2 + 1) & 0xFF)
+
+
+# Both sides of the buggy generator's tail (max 451) and orbit (max 1201
+# values) boundaries, and of the full period 65536.
+SURVEY_STEPS = [1, 2, 450, 451, 452, 1199, 1200, 1201, 1202, 65535, 65536, 65537]
+
+
+class TestCanonicalSeedSurvey:
+    @pytest.mark.parametrize("steps", SURVEY_STEPS)
+    @pytest.mark.parametrize(
+        "step", [prng.buggy_step, prng.correct_step, _low_byte_square_plus_one]
+    )
+    def test_matches_walking_oracle(self, step, steps):
+        walked = [prng.orbit_survey(prng.canonical_seed(b), steps, step) for b in range(256)]
+        assert prng.canonical_seed_survey(steps, step) == walked
+
+    @pytest.mark.parametrize("steps", [0, -1])
+    def test_steps_must_be_positive(self, steps):
+        with pytest.raises(ValueError, match="steps"):
+            prng.canonical_seed_survey(steps)
+
+    @pytest.mark.parametrize(
+        "step, state",
+        [(lambda s: s + 1, "0xffff"), (lambda s: s - 1, "0x0000"), (lambda s: s << 4, "0x1000")],
+    )
+    def test_step_out_of_range_names_the_state(self, step, state):
+        with pytest.raises(ValueError, match=state):
+            prng.canonical_seed_survey(step=step)
+        with pytest.raises(ValueError, match=state):
+            prng.rho_decomposition(step)
+
+
+def _walked_tail_and_cycle(step, state):
+    position = {}
+    value = state
+    while value not in position:
+        position[value] = len(position)
+        value = step(value)
+    return position[value], len(position) - position[value]
+
+
+class TestRhoDecomposition:
+    def test_multi_cycle_map_matches_per_state_walks(self):
+        rho = prng.rho_decomposition(_low_byte_square_plus_one)
+        for state in range(0x10000):
+            assert rho.successor[state] == _low_byte_square_plus_one(state)
+            assert (rho.tail[state], rho.cycle[state]) == _walked_tail_and_cycle(
+                _low_byte_square_plus_one, state
+            )
+        assert rho.cycle_lengths() == [2] * 256
+        assert max(rho.tail) == 5
+
+    def test_cycle_lengths_of_mixed_cycles(self):
+        # 0 <-> 1, 2 -> 3 -> 4 -> 2, every other state is a fixed point
+        # except 0xFFFF, which feeds into the 3-cycle.
+        moves = {0: 1, 1: 0, 2: 3, 3: 4, 4: 2, 0xFFFF: 2}
+        rho = prng.rho_decomposition(lambda s: moves.get(s, s))
+        assert rho.cycle_lengths() == [1] * (0x10000 - 6) + [2, 3]
+        assert (rho.tail[0xFFFF], rho.cycle[0xFFFF]) == (1, 3)
