@@ -168,19 +168,16 @@ def execute(machine: MicroMachine, routine: Routine, inc_sets_carry: bool = Fals
     for ins in routine.instrs:
         m = ins.mnemonic
         addr = ins.operand
+        # Every operand except LDA_IMM's names a cell; fault before running.
+        if addr is not None and addr not in mem and m is not M.LDA_IMM:
+            raise UnmappedCellError(f"unmapped cell ${addr:02x}")
         if m is M.STA_ZP:
-            if addr not in mem:
-                raise UnmappedCellError(f"unmapped cell ${addr:02x}")
             mem[addr] = acc
         elif m is M.ADC_ZP:
-            if addr not in mem:
-                raise UnmappedCellError(f"unmapped cell ${addr:02x}")
             total = acc + mem[addr] + carry
             acc = total & 0xFF
             carry = total >> 8
         elif m is M.LDA_ZP:
-            if addr not in mem:
-                raise UnmappedCellError(f"unmapped cell ${addr:02x}")
             acc = mem[addr]
         elif m is M.LDA_IMM:
             acc = addr
@@ -188,16 +185,12 @@ def execute(machine: MicroMachine, routine: Routine, inc_sets_carry: bool = Fals
             carry = acc >> 7
             acc = (acc << 1) & 0xFF
         elif m is M.ROL_ZP:
-            if addr not in mem:
-                raise UnmappedCellError(f"unmapped cell ${addr:02x}")
             old = mem[addr]
             mem[addr] = ((old << 1) | carry) & 0xFF
             carry = old >> 7
         elif m is M.CLC:
             carry = 0
         elif m is M.INC_ZP:
-            if addr not in mem:
-                raise UnmappedCellError(f"unmapped cell ${addr:02x}")
             value = (mem[addr] + 1) & 0xFF
             mem[addr] = value
             if inc_sets_carry:

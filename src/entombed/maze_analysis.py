@@ -30,49 +30,38 @@ from .prng import buggy_step
 GRID_WIDTH = 40
 
 
+def _screen_row(row: int) -> Tuple[int, ...]:
+    half = (1, 1, 1, 1) + tuple((row >> (7 - j // 2)) & 1 for j in range(16))
+    return half + half[::-1]
+
+
+# The screen format, stated once: the 256 possible screen rows, indexed by
+# the 8-bit row. Rendering, parsing and Grid validation all derive from it.
+SCREEN_ROWS: Tuple[Tuple[int, ...], ...] = tuple(_screen_row(row) for row in range(0x100))
+_SCREEN_TEXT: Dict[Tuple[int, ...], str] = {
+    cells: " ".join("".join("_X"[c] for c in half) for half in (cells[:20], cells[20:]))
+    for cells in SCREEN_ROWS
+}
+_ROW_BY_TEXT = {_SCREEN_TEXT[cells]: row for row, cells in enumerate(SCREEN_ROWS)}
+
+
 def expand_row(row: int) -> Tuple[int, ...]:
     """One 8-bit row as 40 wall bits: side wall, doubled bits, mirror."""
     if not 0 <= row <= 0xFF:
         raise ValueError(f"row must be an 8-bit value, got {row!r}")
-    half = [1, 1, 1, 1]
-    for i in range(7, -1, -1):
-        bit = (row >> i) & 1
-        half.append(bit)
-        half.append(bit)
-    return tuple(half + half[::-1])
+    return SCREEN_ROWS[row]
 
 
 def render_row(row: int) -> str:
-    """Render a row as text: 20 characters per half, one space between.
-
-    Walls are ``X``, open cells ``_``; the right half mirrors the left.
-    """
-    if not 0 <= row <= 0xFF:
-        raise ValueError(f"row must be an 8-bit value, got {row!r}")
-    half = "XXXX"
-    for i in range(7, -1, -1):
-        half += "XX" if (row >> i) & 1 else "__"
-    return half + " " + half[::-1]
+    """Text for a row: 20 cells per half (``X`` wall, ``_`` open), one space between."""
+    return _SCREEN_TEXT[expand_row(row)]
 
 
 def parse_row(line: str) -> int:
-    """Invert :func:`render_row`; raises ValueError on malformed lines."""
-    if len(line) != 41 or line[20] != " ":
-        raise ValueError("rendered row must be 20 chars, space, 20 chars")
-    half, mirror = line[:20], line[21:]
-    if mirror != half[::-1]:
-        raise ValueError("right half is not the mirror of the left")
-    if half[:4] != "XXXX":
-        raise ValueError("missing fixed side wall")
-    row = 0
-    for i in range(8):
-        pair = half[4 + 2 * i : 6 + 2 * i]
-        if pair == "XX":
-            row = (row << 1) | 1
-        elif pair == "__":
-            row = row << 1
-        else:
-            raise ValueError(f"cell pair {pair!r} is neither doubled wall nor doubled open")
+    """Invert :func:`render_row`; raises ValueError on any other line."""
+    row = _ROW_BY_TEXT.get(line)
+    if row is None:
+        raise ValueError(f"not a rendered screen row: {line!r}")
     return row
 
 
@@ -80,9 +69,9 @@ def parse_row(line: str) -> int:
 class Grid:
     """A wall matrix with the screen's structure baked in.
 
-    Every row must be 40 cells of 0/1 with the fixed side walls, the
-    left/right mirror symmetry and the doubled generated bits. Build one
-    from 8-bit rows with :meth:`from_rows`.
+    Every row must be one of the 256 :data:`SCREEN_ROWS` as a tuple, which
+    fixes its width, side walls, mirror symmetry and bit doubling. Build
+    one from 8-bit rows with :meth:`from_rows`.
     """
 
     cells: List[Tuple[int, ...]]
@@ -91,16 +80,12 @@ class Grid:
         if not self.cells:
             raise ValueError("grid must have at least one row")
         for r, row in enumerate(self.cells):
-            if len(row) != GRID_WIDTH:
-                raise ValueError(f"grid row {r} is not {GRID_WIDTH} cells wide")
-            if any(cell not in (0, 1) for cell in row):
-                raise ValueError(f"grid row {r} has non-binary cells")
-            if row[:4] != (1, 1, 1, 1) or row[36:] != (1, 1, 1, 1):
-                raise ValueError(f"grid row {r} is missing its fixed side walls")
-            if any(row[39 - j] != row[j] for j in range(GRID_WIDTH // 2)):
-                raise ValueError(f"grid row {r} breaks mirror symmetry")
-            if any(row[2 * j + 4] != row[2 * j + 5] for j in range(8)):
-                raise ValueError(f"grid row {r} breaks bit doubling")
+            try:
+                valid = row in _SCREEN_TEXT  # keyed by exactly the SCREEN_ROWS
+            except TypeError:  # unhashable, e.g. a list row
+                valid = False
+            if not valid:
+                raise ValueError(f"grid row {r} is not one of the 256 screen rows")
 
     @classmethod
     def from_rows(cls, rows: Sequence[int]) -> "Grid":

@@ -90,7 +90,6 @@ class StepComparison:
     state: int
     buggy: int
     correct: int
-    equal: bool
     low_bytes_equal: bool
     high_delta_mod256: int
 
@@ -126,7 +125,6 @@ def compare_all_steps() -> AgreementReport:
                     state=state,
                     buggy=b,
                     correct=c,
-                    equal=False,
                     low_bytes_equal=(b & 0xFF) == (c & 0xFF),
                     high_delta_mod256=((b >> 8) - (c >> 8)) & 0xFF,
                 )

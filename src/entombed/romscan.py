@@ -14,6 +14,7 @@ tied to a specific dump without distributing it.
 from __future__ import annotations
 
 import hashlib
+import os
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 
@@ -47,15 +48,6 @@ class SignatureTemplate:
 
     def __len__(self) -> int:
         return len(self.elements)
-
-    @property
-    def slot_order(self) -> Tuple[str, ...]:
-        """Slot names in order of first appearance."""
-        seen: List[str] = []
-        for el in self.elements:
-            if isinstance(el, str) and el not in seen:
-                seen.append(el)
-        return tuple(seen)
 
     @property
     def slot_count(self) -> int:
@@ -197,7 +189,9 @@ class CorpusReport:
 def scan_corpus(paths: Iterable[str], sig: SignatureTemplate) -> CorpusReport:
     """Scan each file, recording hits, MD5s, and per-file read errors.
 
-    Unreadable files are reported in ``errors`` and do not abort the scan.
+    Unreadable files are reported in ``errors`` and do not abort the scan;
+    paths that exist but are not regular files (a FIFO would block) are
+    reported without being opened.
     Hits come back ordered by (path, offset) regardless of input order.
     """
     hits: List[ScanHit] = []
@@ -205,6 +199,9 @@ def scan_corpus(paths: Iterable[str], sig: SignatureTemplate) -> CorpusReport:
     errors: Dict[str, str] = {}
     scanned = 0
     for path in paths:
+        if os.path.exists(path) and not os.path.isfile(path):
+            errors[str(path)] = "not a regular file"
+            continue
         try:
             with open(path, "rb") as fh:
                 data = fh.read()

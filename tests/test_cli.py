@@ -1,7 +1,11 @@
 """Tests for the command-line surface: formats, determinism, exit codes."""
 
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -197,6 +201,25 @@ class TestScan:
         with pytest.raises(SystemExit) as exc:
             cli.main(["scan", "--dir", str(tmp_path), "--file", "x"])
         assert exc.value.code == 2
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes on this platform")
+    def test_scan_dir_skips_a_fifo_instead_of_blocking(self, tmp_path):
+        # Opening a FIFO for reading blocks until a writer appears, so run the
+        # CLI in a subprocess under a timeout: a hang fails instead of stalling.
+        os.mkfifo(tmp_path / "pipe")
+        (tmp_path / "rom.bin").write_bytes(b"\x00" * 64)
+        src = str(Path(cli.__file__).resolve().parents[1])
+        pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONPATH": pythonpath}
+        done = subprocess.run(
+            [sys.executable, "-m", "entombed.cli", "scan", "--dir", str(tmp_path)],
+            capture_output=True, text=True, timeout=20, env=env,
+        )
+        assert done.returncode == 0, done.stderr
+        results = parse_envelope(done.stdout)["results"]
+        assert results["files_scanned"] == 1
+        assert list(results["checksums"]) == [str(tmp_path / "rom.bin")]
+        assert results["errors"] == {str(tmp_path / "pipe"): "not a regular file"}
 
 
 class TestStats:

@@ -75,6 +75,12 @@ class TestInstructionSemantics:
             run_one([Instr(Mnemonic.LDA_ZP, 0x99)])
         with pytest.raises(cpu.UnmappedCellError):
             run_one([Instr(Mnemonic.STA_ZP, 0x99)])
+        for mnemonic in (Mnemonic.ADC_ZP, Mnemonic.ROL_ZP, Mnemonic.INC_ZP):
+            with pytest.raises(cpu.UnmappedCellError):
+                run_one([Instr(mnemonic, 0x99)])
+        # nothing after an RTS runs, so nothing after it is checked
+        out = run_one([Instr(Mnemonic.RTS), Instr(Mnemonic.LDA_ZP, 0x99)], acc=7)
+        assert out.acc == 7
 
     def test_execute_does_not_mutate_input(self):
         machine = MicroMachine(acc=1, carry=0, mem={0x10: 5})

@@ -64,6 +64,17 @@ class TestRenderRow:
         with pytest.raises(ValueError):
             parse_row("XXXX_X______________ ______________X_XXXX")
 
+    def test_parse_rejects_every_substitution_truncation_and_extension(self):
+        for row in range(0x100):
+            line = render_row(row)
+            for i, old in enumerate(line):
+                for new in "X_ ".replace(old, ""):
+                    with pytest.raises(ValueError):
+                        parse_row(line[:i] + new + line[i + 1 :])
+            for bad in [line[:end] for end in range(len(line))] + [line + c for c in "X_ "]:
+                with pytest.raises(ValueError):
+                    parse_row(bad)
+
 
 class TestGrid:
     def test_from_rows_shape(self):
@@ -80,6 +91,29 @@ class TestGrid:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             Grid([])
+
+    def test_accepts_every_screen_row(self):
+        assert Grid([expand_row(row) for row in range(0x100)]).height == 256
+
+    def test_rejects_every_single_cell_flip(self):
+        for row in range(0x100):
+            cells = expand_row(row)
+            for i in range(40):
+                with pytest.raises(ValueError):
+                    Grid([cells[:i] + (1 - cells[i],) + cells[i + 1 :]])
+
+    def test_rejects_rows_of_the_wrong_type_width_or_values(self):
+        cells = expand_row(0x5A)
+        bad_rows = [
+            list(cells),
+            cells[:39],
+            cells + (1,),
+            cells[:10] + (2,) + cells[11:],
+            cells[:10] + ([1],) + cells[11:],
+        ]
+        for bad in bad_rows:
+            with pytest.raises(ValueError):
+                Grid([expand_row(0x00), bad])
 
 
 def union_find_solvable(grid: Grid) -> bool:

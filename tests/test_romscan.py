@@ -1,5 +1,6 @@
 """Tests for signature templates, scanning and corpus reporting."""
 
+import os
 import random
 
 import pytest
@@ -229,3 +230,19 @@ class TestScanCorpus:
         f.write_bytes(b"abc")
         report = scan_corpus([str(f)], prng_signature())
         assert report.checksums[str(f)] == "900150983cd24fb0d6963f7d28e17f72"
+
+    def test_directory_is_reported_not_opened(self, tmp_path):
+        report = scan_corpus([str(tmp_path)], prng_signature())
+        assert report.files_scanned == 0
+        assert report.checksums == {}
+        assert report.errors == {str(tmp_path): "not a regular file"}
+
+    @pytest.mark.skipif(not hasattr(os, "symlink"), reason="no symlinks on this platform")
+    def test_broken_symlink_keeps_the_open_error_text(self, tmp_path):
+        link = tmp_path / "dangling.bin"
+        os.symlink(tmp_path / "absent.bin", link)
+        with pytest.raises(OSError) as exc:
+            open(link, "rb")
+        report = scan_corpus([str(link)], prng_signature())
+        assert report.files_scanned == 0
+        assert report.errors == {str(link): str(exc.value)}
