@@ -117,15 +117,13 @@ def _cmd_prng(args: argparse.Namespace) -> int:
         }
     elif args.mode == "compare":
         report = prng.compare_all_steps()
-        plus_one = sum(1 for m in report.mismatches if m.high_delta_mod256 == 0x01)
-        minus_one = sum(1 for m in report.mismatches if m.high_delta_mod256 == 0xFF)
         results = {
             "states": prng.WORD_COUNT,
             "fraction_equal": report.fraction_equal,
             "mismatch_count": report.mismatch_count,
-            "all_mismatch_low_bytes_equal": all(m.low_bytes_equal for m in report.mismatches),
-            "high_delta_plus_one": plus_one,
-            "high_delta_minus_one": minus_one,
+            "all_mismatch_low_bytes_equal": report.low_bytes_equal_count == report.mismatch_count,
+            "high_delta_plus_one": report.high_delta_plus_one,
+            "high_delta_minus_one": report.high_delta_minus_one,
         }
     elif args.mode == "graph":
         results = {
@@ -164,7 +162,8 @@ def _cmd_scan(args: argparse.Namespace) -> int:
         return EXIT_RUNTIME
     if args.file is not None:
         if not os.path.isfile(args.file):
-            print(f"error: no such file: {args.file}", file=sys.stderr)
+            reason = "not a regular file" if os.path.exists(args.file) else "no such file"
+            print(f"error: {reason}: {args.file}", file=sys.stderr)
             return EXIT_RUNTIME
         paths = [args.file]
         target = {"file": args.file}

@@ -9,6 +9,11 @@ would actually do, including the carry-flag behaviour responsible for the
 bug. No other flags are modelled; the routine never branches and never
 reads them. Decimal mode is assumed off, as it is in the game.
 
+There is one interpreter loop, over a routine lowered up to its first RTS
+into ``(small-int opcode, operand)`` pairs whose cell operands index a list
+of cells. :func:`execute` lowers against its machine's cells;
+:func:`oracle_prng_step` runs a program lowered once, at import.
+
 The same instruction list doubles as the source for the byte signature
 used by :mod:`entombed.romscan`: assembling the routine with named cell
 slots instead of concrete addresses yields the wildcard pattern that
@@ -96,6 +101,13 @@ class Routine:
         return not any(isinstance(i.operand, str) for i in self.instrs)
 
 
+def _check_registers(acc: int, carry: int) -> None:
+    if not 0 <= acc <= 0xFF:
+        raise ValueError(f"acc out of byte range: {acc!r}")
+    if carry not in (0, 1):
+        raise ValueError(f"carry must be 0 or 1: {carry!r}")
+
+
 @dataclass
 class MicroMachine:
     """Accumulator, carry flag and a handful of addressable byte cells.
@@ -108,10 +120,7 @@ class MicroMachine:
     mem: Dict[int, int] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if not 0 <= self.acc <= 0xFF:
-            raise ValueError(f"acc out of byte range: {self.acc!r}")
-        if self.carry not in (0, 1):
-            raise ValueError(f"carry must be 0 or 1: {self.carry!r}")
+        _check_registers(self.acc, self.carry)
         for addr, value in self.mem.items():
             if not 0 <= addr <= 0xFF or not 0 <= value <= 0xFF:
                 raise ValueError(f"cell {addr!r}={value!r} out of byte range")
@@ -152,6 +161,56 @@ def prng_routine(w: Operand, x: Operand, y: Operand, z: Operand) -> Routine:
     )
 
 
+_LOWERED_OPCODE = {m: i for i, m in enumerate(Mnemonic)}
+
+
+def _lower(routine: Routine, cell_index: Dict[int, int]) -> Tuple[Tuple[int, int], ...]:
+    """Lower a concrete routine into the ``(opcode, operand)`` pairs :func:`_run` takes.
+
+    The opcode is the mnemonic's position in ``Mnemonic``. LDA_IMM keeps its
+    byte; any other operand becomes its index in ``cell_index``, or faults
+    if unmapped. The code never branches and runs on a copy, so this looks
+    the same as faulting just before the instruction. Nothing after the
+    first RTS is lowered or checked.
+    """
+    program = []
+    for ins in routine.instrs:
+        if ins.mnemonic is Mnemonic.RTS:
+            break
+        operand = ins.operand
+        if operand is not None and ins.mnemonic is not Mnemonic.LDA_IMM:
+            if operand not in cell_index:
+                raise UnmappedCellError(f"unmapped cell ${operand:02x}")
+            operand = cell_index[operand]
+        program.append((_LOWERED_OPCODE[ins.mnemonic], operand))
+    return tuple(program)
+
+
+def _run(program, acc: int, carry: int, cells: List[int], inc_sets_carry: bool) -> Tuple[int, int]:
+    """Interpret a lowered program on ``cells`` in place; return (acc, carry)."""
+    for op, arg in program:  # literal opcodes, most frequent in the PRNG routine first
+        if op == 1:  # STA_ZP
+            cells[arg] = acc
+        elif op == 6:  # ADC_ZP
+            acc += cells[arg] + carry
+            carry, acc = acc >> 8, acc & 0xFF
+        elif op == 0:  # LDA_ZP
+            acc = cells[arg]
+        elif op == 2:  # LDA_IMM
+            acc = arg
+        elif op == 3:  # ASL_A
+            carry, acc = acc >> 7, (acc << 1) & 0xFF
+        elif op == 4:  # ROL_ZP
+            cells[arg], carry = ((cells[arg] << 1) | carry) & 0xFF, cells[arg] >> 7
+        elif op == 5:  # CLC
+            carry = 0
+        else:  # 7, INC_ZP
+            cells[arg] = (cells[arg] + 1) & 0xFF
+            if inc_sets_carry:
+                carry = int(cells[arg] == 0)
+    return acc, carry
+
+
 def execute(machine: MicroMachine, routine: Routine, inc_sets_carry: bool = False) -> MicroMachine:
     """Run the routine to its RTS and return the resulting machine.
 
@@ -161,49 +220,17 @@ def execute(machine: MicroMachine, routine: Routine, inc_sets_carry: bool = Fals
     """
     if not routine.is_concrete:
         raise ValueError("cannot execute a template routine with unresolved slots")
-    acc = machine.acc
-    carry = machine.carry
-    mem = dict(machine.mem)
-    M = Mnemonic
-    for ins in routine.instrs:
-        m = ins.mnemonic
-        addr = ins.operand
-        # Every operand except LDA_IMM's names a cell; fault before running.
-        if addr is not None and addr not in mem and m is not M.LDA_IMM:
-            raise UnmappedCellError(f"unmapped cell ${addr:02x}")
-        if m is M.STA_ZP:
-            mem[addr] = acc
-        elif m is M.ADC_ZP:
-            total = acc + mem[addr] + carry
-            acc = total & 0xFF
-            carry = total >> 8
-        elif m is M.LDA_ZP:
-            acc = mem[addr]
-        elif m is M.LDA_IMM:
-            acc = addr
-        elif m is M.ASL_A:
-            carry = acc >> 7
-            acc = (acc << 1) & 0xFF
-        elif m is M.ROL_ZP:
-            old = mem[addr]
-            mem[addr] = ((old << 1) | carry) & 0xFF
-            carry = old >> 7
-        elif m is M.CLC:
-            carry = 0
-        elif m is M.INC_ZP:
-            value = (mem[addr] + 1) & 0xFF
-            mem[addr] = value
-            if inc_sets_carry:
-                carry = 1 if value == 0 else 0
-        elif m is M.RTS:
-            break
-    return MicroMachine(acc=acc, carry=carry, mem=mem)
+    program = _lower(routine, {addr: i for i, addr in enumerate(machine.mem)})
+    cells = list(machine.mem.values())
+    acc, carry = _run(program, machine.acc, machine.carry, cells, inc_sets_carry)
+    return MicroMachine(acc=acc, carry=carry, mem=dict(zip(machine.mem, cells)))
 
 
 # The game's own cell assignments; any four mapped cells give the same result.
 W_CELL, X_CELL, Y_CELL, Z_CELL = 0xDD, 0xDE, 0xDF, 0xE0
 
-_ORACLE_ROUTINE = prng_routine(W_CELL, X_CELL, Y_CELL, Z_CELL)
+_ORACLE_CELLS = (W_CELL, X_CELL, Y_CELL, Z_CELL)  # cells[0:4] in oracle_prng_step
+_ORACLE_PROGRAM = _lower(prng_routine(*_ORACLE_CELLS), dict(zip(_ORACLE_CELLS, range(4))))
 
 
 def oracle_prng_step(
@@ -221,13 +248,10 @@ def oracle_prng_step(
     """
     if not 0 <= state <= 0xFFFF:
         raise ValueError(f"state must be a 16-bit value, got {state!r}")
-    machine = MicroMachine(
-        acc=initial_acc,
-        carry=initial_carry,
-        mem={W_CELL: state >> 8, X_CELL: state & 0xFF, Y_CELL: 0, Z_CELL: 0},
-    )
-    out = execute(machine, _ORACLE_ROUTINE, inc_sets_carry)
-    return (out.mem[W_CELL] << 8) | out.mem[X_CELL]
+    _check_registers(initial_acc, initial_carry)
+    cells = [state >> 8, state & 0xFF, 0, 0]
+    _run(_ORACLE_PROGRAM, initial_acc, initial_carry, cells, inc_sets_carry)
+    return (cells[0] << 8) | cells[1]
 
 
 def assemble(routine: Routine) -> List[Operand]:

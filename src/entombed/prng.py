@@ -25,6 +25,7 @@ from __future__ import annotations
 from array import array
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, List
 
 WORD_COUNT = 0x10000
@@ -94,42 +95,43 @@ class StepComparison:
     high_delta_mod256: int
 
 
+def _mismatching_steps():
+    """Yield ``(state, buggy, correct)`` for each disagreeing state, in state order."""
+    for state in range(WORD_COUNT):
+        b, c = buggy_step(state), correct_step(state)
+        if b != c:
+            yield state, b, c
+
+
 @dataclass
 class AgreementReport:
     """Exhaustive comparison of the two step functions over all 65536 states."""
 
     fraction_equal: float
-    mismatches: List[StepComparison]
+    mismatch_count: int
+    low_bytes_equal_count: int  # mismatches whose low bytes agree
+    high_delta_plus_one: int
+    high_delta_minus_one: int
 
-    @property
-    def mismatch_count(self) -> int:
-        return len(self.mismatches)
+    @cached_property
+    def mismatches(self) -> List[StepComparison]:
+        """One :class:`StepComparison` per mismatch, in state order, built when first read."""
+        return [
+            StepComparison(state, b, c, (b ^ c) & 0xFF == 0, ((b >> 8) - (c >> 8)) & 0xFF)
+            for state, b, c in _mismatching_steps()
+        ]
 
 
 def compare_all_steps() -> AgreementReport:
-    """Compare buggy_step against correct_step for every 16-bit state.
-
-    Deterministic: identical output on every run. The mismatch list keeps
-    one :class:`StepComparison` per disagreeing state, in state order.
-    """
-    mismatches = []
-    equal_count = 0
-    for state in range(WORD_COUNT):
-        b = buggy_step(state)
-        c = correct_step(state)
-        if b == c:
-            equal_count += 1
-        else:
-            mismatches.append(
-                StepComparison(
-                    state=state,
-                    buggy=b,
-                    correct=c,
-                    low_bytes_equal=(b & 0xFF) == (c & 0xFF),
-                    high_delta_mod256=((b >> 8) - (c >> 8)) & 0xFF,
-                )
-            )
-    return AgreementReport(fraction_equal=equal_count / WORD_COUNT, mismatches=mismatches)
+    """Compare buggy_step against correct_step for every 16-bit state; deterministic."""
+    mismatch = low_equal = plus_one = minus_one = 0
+    for _state, b, c in _mismatching_steps():
+        delta = ((b >> 8) - (c >> 8)) & 0xFF
+        mismatch += 1
+        low_equal += (b ^ c) & 0xFF == 0
+        plus_one += delta == 0x01
+        minus_one += delta == 0xFF
+    return AgreementReport(1 - mismatch / WORD_COUNT, mismatch, low_equal, plus_one, minus_one)
 
 
 @dataclass(frozen=True)
@@ -292,10 +294,5 @@ def max_distinct_over_canonical_seeds(
     itself only counts if the orbit revisits it). Returns the maximum and
     the first seed achieving it.
     """
-    best_count = -1
-    best_seed = 0
-    for stats in canonical_seed_survey(steps, step):
-        if stats.distinct_generated > best_count:
-            best_count = stats.distinct_generated
-            best_seed = stats.seed
-    return best_count, best_seed
+    best = max(canonical_seed_survey(steps, step), key=lambda s: s.distinct_generated)
+    return best.distinct_generated, best.seed

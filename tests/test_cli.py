@@ -221,6 +221,28 @@ class TestScan:
         assert list(results["checksums"]) == [str(tmp_path / "rom.bin")]
         assert results["errors"] == {str(tmp_path / "pipe"): "not a regular file"}
 
+    def test_missing_file_names_the_cause(self, capsys, tmp_path):
+        code, _, err = run_cli(capsys, "scan", "--file", str(tmp_path / "absent.bin"))
+        assert code == 1
+        assert err == f"error: no such file: {tmp_path / 'absent.bin'}\n"
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes on this platform")
+    def test_scan_file_on_a_fifo_says_not_a_regular_file(self, tmp_path):
+        # A subprocess under a timeout, so a regression that opens the FIFO
+        # fails instead of stalling the suite.
+        pipe = tmp_path / "pipe"
+        os.mkfifo(pipe)
+        src = str(Path(cli.__file__).resolve().parents[1])
+        pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONPATH": pythonpath}
+        done = subprocess.run(
+            [sys.executable, "-m", "entombed.cli", "scan", "--file", str(pipe)],
+            capture_output=True, text=True, timeout=20, env=env,
+        )
+        assert done.returncode == 1
+        assert done.stdout == ""
+        assert done.stderr == f"error: not a regular file: {pipe}\n"
+
 
 class TestStats:
     def test_small_survey(self, capsys):

@@ -165,6 +165,64 @@ class TestOracleStep:
                     )
 
 
+# Cell layouts other than the game's own 0xDD-0xE0: consecutive low cells,
+# and the scattered layout with a gap between the state and scratch words.
+OTHER_CELLS = [(0x10, 0x11, 0x12, 0x13), (0x80, 0x81, 0x90, 0x91)]
+
+
+class TestExecuteOnOtherCells:
+    @pytest.mark.parametrize("cells", OTHER_CELLS)
+    @pytest.mark.parametrize(
+        "inc_sets_carry, step", [(False, prng.buggy_step), (True, prng.correct_step)]
+    )
+    def test_matches_step_exhaustively(self, cells, inc_sets_carry, step):
+        w, x, y, z = cells
+        routine = cpu.prng_routine(w, x, y, z)
+        for s in range(0x10000):
+            machine = MicroMachine(mem={w: s >> 8, x: s & 0xFF, y: 0, z: 0})
+            out = cpu.execute(machine, routine, inc_sets_carry)
+            assert (out.mem[w] << 8) | out.mem[x] == step(s)
+
+    @pytest.mark.parametrize("cells", OTHER_CELLS)
+    def test_untouched_cells_come_back_unchanged(self, cells):
+        w, x, y, z = cells
+        routine = cpu.prng_routine(w, x, y, z)
+        # untouched cells before, between and after the routine's own
+        mem = {0x00: 0xA5, w: 0x12, x: 0x34, 0x50: 0x5A, y: 0xFF, z: 0x01, 0xFF: 0xC3}
+        out = cpu.execute(MicroMachine(acc=0x77, carry=1, mem=dict(mem)), routine)
+        assert {a: out.mem[a] for a in (0x00, 0x50, 0xFF)} == {0x00: 0xA5, 0x50: 0x5A, 0xFF: 0xC3}
+        assert set(out.mem) == set(mem)
+        assert (out.mem[w] << 8) | out.mem[x] == prng.buggy_step(0x1234)
+
+    def test_untouched_cell_unchanged_by_single_instructions(self):
+        for instr in (
+            Instr(Mnemonic.STA_ZP, 0x10),
+            Instr(Mnemonic.ADC_ZP, 0x10),
+            Instr(Mnemonic.ROL_ZP, 0x10),
+            Instr(Mnemonic.INC_ZP, 0x10),
+            Instr(Mnemonic.LDA_IMM, 0x11),
+        ):
+            out = run_one([instr], acc=0x80, carry=1, mem={0x11: 0x3C, 0x10: 0xFF})
+            assert out.mem[0x11] == 0x3C
+
+
+class TestOracleStepRangeChecks:
+    @pytest.mark.parametrize("acc", [-1, 0x100])
+    def test_initial_acc_out_of_byte_range(self, acc):
+        with pytest.raises(ValueError):
+            cpu.oracle_prng_step(0x1234, initial_acc=acc)
+
+    @pytest.mark.parametrize("carry", [-1, 2])
+    def test_initial_carry_not_a_bit(self, carry):
+        with pytest.raises(ValueError):
+            cpu.oracle_prng_step(0x1234, initial_carry=carry)
+
+    @pytest.mark.parametrize("state", [-1, 0x10000])
+    def test_state_out_of_word_range(self, state):
+        with pytest.raises(ValueError):
+            cpu.oracle_prng_step(state)
+
+
 class TestAssembler:
     def test_concrete_routine_is_37_bytes(self):
         out = cpu.assemble(cpu.prng_routine(0xDD, 0xDE, 0xDF, 0xE0))

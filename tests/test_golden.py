@@ -19,6 +19,9 @@ CASES = {
     "maze_render_zeros.json": ["maze-render", "--source", "zeros", "--format", "json"],
     "stats_200_seed1.json": ["stats", "--mazes", "200", "--seed", "1"],
     "prng_compare.json": ["prng", "--mode", "compare"],
+    "prng_survey.json": ["prng", "--mode", "survey"],
+    "prng_graph.json": ["prng", "--mode", "graph"],
+    "prng_oracle_check.json": ["prng", "--mode", "oracle-check"],
     "scan_corpus.json": ["scan", "--dir", "corpus"],
 }
 

@@ -94,6 +94,24 @@ class TestCompareAllSteps:
         assert again.fraction_equal == report.fraction_equal
         assert again.mismatches == report.mismatches
 
+    def test_counts_agree_with_the_mismatch_list(self, report):
+        # The counts come from one pass and the list from another, built on
+        # first access; both must describe the same states.
+        mismatches = report.mismatches
+        assert [m.state for m in mismatches] == [
+            s for s in range(0x10000) if prng.buggy_step(s) != prng.correct_step(s)
+        ]
+        assert all(
+            (m.buggy, m.correct) == (prng.buggy_step(m.state), prng.correct_step(m.state))
+            for m in mismatches
+        )
+        deltas = [m.high_delta_mod256 for m in mismatches]
+        assert report.mismatch_count == len(mismatches)
+        assert report.low_bytes_equal_count == sum(m.low_bytes_equal for m in mismatches)
+        assert report.high_delta_plus_one == deltas.count(0x01)
+        assert report.high_delta_minus_one == deltas.count(0xFF)
+        assert report.mismatches is mismatches
+
 
 class TestOrbitSurvey:
     def test_single_step_counts_seed_and_successor(self):
