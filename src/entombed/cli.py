@@ -172,8 +172,8 @@ def _cmd_scan(args: argparse.Namespace) -> int:
             print(f"error: no such directory: {args.dir}", file=sys.stderr)
             return EXIT_RUNTIME
         paths = []
-        for base, _dirs, names in sorted(os.walk(args.dir)):
-            paths.extend(os.path.join(base, name) for name in sorted(names))
+        for base, _dirs, names in os.walk(args.dir):
+            paths.extend(os.path.join(base, name) for name in names)
         paths.sort()
         target = {"dir": args.dir}
     report = romscan.scan_corpus(paths, sig)

@@ -10,7 +10,7 @@ bug. No other flags are modelled; the routine never branches and never
 reads them. Decimal mode is assumed off, as it is in the game.
 
 There is one interpreter loop, over a routine lowered up to its first RTS
-into ``(small-int opcode, operand)`` pairs whose cell operands index a list
+into ``(6502 opcode, operand)`` pairs whose cell operands index a list
 of cells. :func:`execute` lowers against its machine's cells;
 :func:`oracle_prng_step` runs a program lowered once, at import.
 
@@ -24,41 +24,28 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, List, Tuple, Union
+from types import MappingProxyType
+from typing import Dict, List, Mapping, Tuple, Union
 
 Operand = Union[int, str]
 
 
+# The nine instruction forms, each valued at its standard MOS 6502 opcode
+# (publicly documented since the 1970s; zero-page unless noted).
 class Mnemonic(Enum):
-    LDA_ZP = "lda_zp"
-    STA_ZP = "sta_zp"
-    LDA_IMM = "lda_imm"
-    ASL_A = "asl_a"
-    ROL_ZP = "rol_zp"
-    CLC = "clc"
-    ADC_ZP = "adc_zp"
-    INC_ZP = "inc_zp"
-    RTS = "rts"
+    LDA_ZP = 0xA5
+    STA_ZP = 0x85
+    LDA_IMM = 0xA9
+    ASL_A = 0x0A
+    ROL_ZP = 0x26
+    CLC = 0x18
+    ADC_ZP = 0x65
+    INC_ZP = 0xE6
+    RTS = 0x60
 
 
 # Implied/accumulator forms take no operand; every other form takes one byte.
 IMPLIED = frozenset({Mnemonic.ASL_A, Mnemonic.CLC, Mnemonic.RTS})
-
-# Standard MOS 6502 opcode assignments for the forms above (publicly
-# documented since the 1970s; zero-page unless noted).
-OPCODES: Dict[Mnemonic, int] = {
-    Mnemonic.LDA_ZP: 0xA5,
-    Mnemonic.STA_ZP: 0x85,
-    Mnemonic.LDA_IMM: 0xA9,
-    Mnemonic.ASL_A: 0x0A,
-    Mnemonic.ROL_ZP: 0x26,
-    Mnemonic.CLC: 0x18,
-    Mnemonic.ADC_ZP: 0x65,
-    Mnemonic.INC_ZP: 0xE6,
-    Mnemonic.RTS: 0x60,
-}
-
-_MNEMONIC_BY_OPCODE = {code: m for m, code in OPCODES.items()}
 
 
 class UnmappedCellError(Exception):
@@ -108,22 +95,26 @@ def _check_registers(acc: int, carry: int) -> None:
         raise ValueError(f"carry must be 0 or 1: {carry!r}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class MicroMachine:
     """Accumulator, carry flag and a handful of addressable byte cells.
 
-    Treated as a value: :func:`execute` never mutates its input.
+    A value: fields cannot be reassigned and ``mem`` is a read-only view of
+    a copy, so the range checks hold for the machine's whole lifetime.
+    :func:`execute` returns a new machine.
     """
 
     acc: int = 0
     carry: int = 0
-    mem: Dict[int, int] = field(default_factory=dict)
+    mem: Mapping[int, int] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         _check_registers(self.acc, self.carry)
-        for addr, value in self.mem.items():
+        mem = MappingProxyType(dict(self.mem))
+        for addr, value in mem.items():
             if not 0 <= addr <= 0xFF or not 0 <= value <= 0xFF:
                 raise ValueError(f"cell {addr!r}={value!r} out of byte range")
+        object.__setattr__(self, "mem", mem)
 
 
 def prng_routine(w: Operand, x: Operand, y: Operand, z: Operand) -> Routine:
@@ -161,13 +152,10 @@ def prng_routine(w: Operand, x: Operand, y: Operand, z: Operand) -> Routine:
     )
 
 
-_LOWERED_OPCODE = {m: i for i, m in enumerate(Mnemonic)}
-
-
 def _lower(routine: Routine, cell_index: Dict[int, int]) -> Tuple[Tuple[int, int], ...]:
     """Lower a concrete routine into the ``(opcode, operand)`` pairs :func:`_run` takes.
 
-    The opcode is the mnemonic's position in ``Mnemonic``. LDA_IMM keeps its
+    The opcode is the mnemonic's 6502 opcode. LDA_IMM keeps its
     byte; any other operand becomes its index in ``cell_index``, or faults
     if unmapped. The code never branches and runs on a copy, so this looks
     the same as faulting just before the instruction. Nothing after the
@@ -182,29 +170,29 @@ def _lower(routine: Routine, cell_index: Dict[int, int]) -> Tuple[Tuple[int, int
             if operand not in cell_index:
                 raise UnmappedCellError(f"unmapped cell ${operand:02x}")
             operand = cell_index[operand]
-        program.append((_LOWERED_OPCODE[ins.mnemonic], operand))
+        program.append((ins.mnemonic.value, operand))
     return tuple(program)
 
 
 def _run(program, acc: int, carry: int, cells: List[int], inc_sets_carry: bool) -> Tuple[int, int]:
     """Interpret a lowered program on ``cells`` in place; return (acc, carry)."""
     for op, arg in program:  # literal opcodes, most frequent in the PRNG routine first
-        if op == 1:  # STA_ZP
+        if op == 0x85:  # STA_ZP
             cells[arg] = acc
-        elif op == 6:  # ADC_ZP
+        elif op == 0x65:  # ADC_ZP
             acc += cells[arg] + carry
             carry, acc = acc >> 8, acc & 0xFF
-        elif op == 0:  # LDA_ZP
+        elif op == 0xA5:  # LDA_ZP
             acc = cells[arg]
-        elif op == 2:  # LDA_IMM
+        elif op == 0xA9:  # LDA_IMM
             acc = arg
-        elif op == 3:  # ASL_A
+        elif op == 0x0A:  # ASL_A
             carry, acc = acc >> 7, (acc << 1) & 0xFF
-        elif op == 4:  # ROL_ZP
+        elif op == 0x26:  # ROL_ZP
             cells[arg], carry = ((cells[arg] << 1) | carry) & 0xFF, cells[arg] >> 7
-        elif op == 5:  # CLC
+        elif op == 0x18:  # CLC
             carry = 0
-        else:  # 7, INC_ZP
+        else:  # 0xE6, INC_ZP
             cells[arg] = (cells[arg] + 1) & 0xFF
             if inc_sets_carry:
                 carry = int(cells[arg] == 0)
@@ -263,7 +251,7 @@ def assemble(routine: Routine) -> List[Operand]:
     """
     out: List[Operand] = []
     for ins in routine.instrs:
-        out.append(OPCODES[ins.mnemonic])
+        out.append(ins.mnemonic.value)
         if ins.operand is not None:
             out.append(ins.operand)
     return out
@@ -279,9 +267,10 @@ def disassemble(elements: List[Operand]) -> Routine:
     pos = 0
     while pos < len(elements):
         opcode = elements[pos]
-        if not isinstance(opcode, int) or opcode not in _MNEMONIC_BY_OPCODE:
-            raise ValueError(f"not an opcode at position {pos}: {opcode!r}")
-        mnemonic = _MNEMONIC_BY_OPCODE[opcode]
+        try:  # ints only: Mnemonic(165.0) would give LDA_ZP
+            mnemonic = Mnemonic(opcode if isinstance(opcode, int) else None)
+        except ValueError:
+            raise ValueError(f"not an opcode at position {pos}: {opcode!r}") from None
         pos += 1
         if mnemonic in IMPLIED:
             instrs.append(Instr(mnemonic))

@@ -112,7 +112,9 @@ def is_solvable(grid: Grid) -> SolvabilityReport:
     Movement is between 4-neighbour open cells. When a bottom-row cell is
     reached the report carries one witness path, top to bottom.
     """
-    height, width = grid.height, grid.width
+    # Every row mirrors across the centre, so reflecting a path's right-half
+    # cells gives a left-half path between the same rows: search columns 0-19.
+    height, width = grid.height, GRID_WIDTH // 2
     cells = grid.cells
     parents: Dict[Tuple[int, int], Optional[Tuple[int, int]]] = {}
     queue: deque = deque()

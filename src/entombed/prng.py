@@ -62,19 +62,13 @@ def buggy_step(state: int) -> int:
     generator.
     """
     _check_word(state)
-    product = 5 * state
-    high = (product >> 8) & 0xFF
-    if product > 0xFFFF:
-        low_in = state & 0xFF
-        # Carry out of the low-byte add (4*low + low), bytes wrapped like
-        # the accumulator does.
-        carry_low = (((low_in << 2) & 0xFF) + low_in) >> 8
-        # High byte after the two shift-rotates, i.e. of 4*state mod 2^16.
-        high_shifted = ((state << 2) >> 8) & 0xFF
-        stale = (((high_shifted + carry_low) & 0xFF) + (state >> 8)) >> 8
-        high = (high + stale) & 0xFF
-    low = ((product & 0xFF) + 1) & 0xFF
-    return (high << 8) | low
+    # The routine's byte adds, carry out in bit 8. CLC; ADC z: low(4s) + low(s)
+    low_sum = ((state << 2) & 0xFF) + (state & 0xFF)
+    # LDA #0; ADC w: high(4s) + that carry; CLC; ADC y: ... + high(s)
+    high_sum = ((((state >> 6) & 0xFF) + (low_sum >> 8)) & 0xFF) + (state >> 8)
+    # INC x leaves the carry alone, so ADC w adds high_sum's stale carry
+    high = ((high_sum & 0xFF) + (high_sum >> 8)) & 0xFF
+    return (high << 8) | ((low_sum + 1) & 0xFF)
 
 
 def canonical_seed(b: int) -> int:

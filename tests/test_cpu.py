@@ -1,5 +1,6 @@
 """Tests for the mini interpreter, the routine builder and the assembler."""
 
+import dataclasses
 import random
 
 import pytest
@@ -86,6 +87,30 @@ class TestInstructionSemantics:
         machine = MicroMachine(acc=1, carry=0, mem={0x10: 5})
         run_one([Instr(Mnemonic.LDA_IMM, 9), Instr(Mnemonic.STA_ZP, 0x10)], mem=machine.mem)
         assert machine.acc == 1
+        assert machine.mem[0x10] == 5
+
+
+class TestMachineIsFrozen:
+    """Range checks run at construction, so nothing may change a machine after it."""
+
+    @pytest.mark.parametrize("name, value", [("acc", 300), ("carry", 5), ("mem", {})])
+    def test_fields_cannot_be_reassigned(self, name, value):
+        machine = MicroMachine(mem={0x10: 5})
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(machine, name, value)
+
+    def test_cells_cannot_be_written(self):
+        machine = MicroMachine(mem={0x10: 5})
+        with pytest.raises(TypeError):
+            machine.mem[0x10] = 999
+        with pytest.raises(TypeError):
+            machine.mem[0x11] = 1
+        assert dict(machine.mem) == {0x10: 5}
+
+    def test_mem_is_a_copy_of_the_given_dict(self):
+        mem = {0x10: 5}
+        machine = MicroMachine(mem=mem)
+        mem[0x10] = 999
         assert machine.mem[0x10] == 5
 
 
@@ -228,6 +253,14 @@ class TestAssembler:
         out = cpu.assemble(cpu.prng_routine(0xDD, 0xDE, 0xDF, 0xE0))
         assert len(out) == 37
         assert all(isinstance(b, int) for b in out)
+
+    def test_prng_routine_bytes(self):
+        # the game's routine as listed byte by byte, independent of Mnemonic
+        expected = bytes.fromhex(
+            "a5 dd 85 df a5 de 85 e0 0a 26 dd 0a 26 dd 18 65"
+            " e0 85 de a9 00 65 dd 18 65 df 85 dd a9 00 e6 de 65 dd 85 dd 60"
+        )
+        assert cpu.assemble(cpu.prng_routine(0xDD, 0xDE, 0xDF, 0xE0)) == list(expected)
 
     def test_template_has_14_slots(self):
         out = cpu.assemble(cpu.prng_routine("W", "X", "Y", "Z"))

@@ -18,6 +18,7 @@ CASES = {
     "maze_render_seed1.json": ["maze-render", "--seed", "1", "--format", "json"],
     "maze_render_zeros.json": ["maze-render", "--source", "zeros", "--format", "json"],
     "stats_200_seed1.json": ["stats", "--mazes", "200", "--seed", "1"],
+    "stats_5000_seed1.json": ["stats", "--mazes", "5000", "--seed", "1"],
     "prng_compare.json": ["prng", "--mode", "compare"],
     "prng_survey.json": ["prng", "--mode", "survey"],
     "prng_graph.json": ["prng", "--mode", "graph"],
