@@ -16,6 +16,7 @@ import json
 import os
 import sys
 from collections import Counter
+from dataclasses import asdict
 from typing import List, Optional
 
 from . import __version__, cpu, maze_analysis, mazegen, prng, romscan
@@ -76,10 +77,7 @@ def _cmd_maze_render(args: argparse.Namespace) -> int:
             "rows": rows,
             "traces": [
                 {
-                    "left_bit": t.left_bit,
-                    "right_bit": t.right_bit,
-                    "mid_bits": t.mid_bits,
-                    "row_before_postprocess": t.row_before_postprocess,
+                    **asdict(t),
                     "postprocess_fired": t.postprocess_fired.value if t.postprocess_fired else None,
                 }
                 for t in traces
@@ -185,9 +183,7 @@ def _cmd_scan(args: argparse.Namespace) -> int:
             "signature_length": len(sig),
             "hits": [
                 {
-                    "source": h.source,
-                    "offset": h.offset,
-                    "bindings": {k: v for k, v in sorted(h.bindings.items())},
+                    **asdict(h),
                     "bindings_distinct": h.bindings_distinct(),
                     "bindings_consecutive": h.bindings_consecutive(),
                 }
@@ -205,14 +201,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     _emit(
         "stats",
         {"mazes": args.mazes, "rows": args.rows, "seed": args.seed},
-        {
-            "rows_generated": stats.rows_generated,
-            "condition1_fires": stats.condition1_fires,
-            "condition2_fires": stats.condition2_fires,
-            "mazes_generated": stats.mazes_generated,
-            "unsolvable_count": stats.unsolvable_count,
-            "unsolvable_fraction": stats.unsolvable_count / stats.mazes_generated,
-        },
+        {**asdict(stats), "unsolvable_fraction": stats.unsolvable_count / stats.mazes_generated},
     )
     return EXIT_OK
 

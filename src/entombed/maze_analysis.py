@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .mazegen import (
+    CellRule,
     ModelBitSource,
     MysteryTable,
     PostprocessRule,
@@ -196,7 +197,7 @@ def maze_survey(
 
 def table_stats(table: MysteryTable) -> Dict[str, int]:
     """Count the rule variants across the 32 table entries."""
-    counts = {"wall": 0, "open": 0, "random": 0}
+    counts = {rule.value: 0 for rule in CellRule}
     for rule in table.entries.values():
         counts[rule.value] += 1
     return counts

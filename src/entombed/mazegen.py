@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Dict, List, Mapping, Optional, Protocol, Sequence, Tuple
 
-from .prng import buggy_step
+from .prng import _check_word, buggy_step
 
 
 class CellRule(Enum):
@@ -65,42 +65,15 @@ class TraceDesyncError(Exception):
     """A replayed draw asked for a different kind than was recorded."""
 
 
-# The wall-context table as it sits in the game ROM. Key is (last two
-# generated bits, three padded bits above); 11 wall, 13 open, 8 random.
-_W, _O, _R = CellRule.WALL, CellRule.OPEN, CellRule.RANDOM
+# The wall-context table as it sits in the game ROM: one symbol per
+# context, in context order index = (last two generated bits << 3) | three
+# padded bits above, so each group of eight shares its last two bits.
+# W wall, O open, R random; 11 wall, 13 open, 8 random.
+_TABLE_SYMBOLS = "WWWROORR" "WWWWROOO" "WWWROOOO" "ROWRROOO"
+_SYMBOL_RULES = {"W": CellRule.WALL, "O": CellRule.OPEN, "R": CellRule.RANDOM}
 _DEFAULT_RULES: Dict[Tuple[int, int], CellRule] = {
-    (0b00, 0b000): _W,
-    (0b00, 0b001): _W,
-    (0b00, 0b010): _W,
-    (0b00, 0b011): _R,
-    (0b00, 0b100): _O,
-    (0b00, 0b101): _O,
-    (0b00, 0b110): _R,
-    (0b00, 0b111): _R,
-    (0b01, 0b000): _W,
-    (0b01, 0b001): _W,
-    (0b01, 0b010): _W,
-    (0b01, 0b011): _W,
-    (0b01, 0b100): _R,
-    (0b01, 0b101): _O,
-    (0b01, 0b110): _O,
-    (0b01, 0b111): _O,
-    (0b10, 0b000): _W,
-    (0b10, 0b001): _W,
-    (0b10, 0b010): _W,
-    (0b10, 0b011): _R,
-    (0b10, 0b100): _O,
-    (0b10, 0b101): _O,
-    (0b10, 0b110): _O,
-    (0b10, 0b111): _O,
-    (0b11, 0b000): _R,
-    (0b11, 0b001): _O,
-    (0b11, 0b010): _W,
-    (0b11, 0b011): _R,
-    (0b11, 0b100): _R,
-    (0b11, 0b101): _O,
-    (0b11, 0b110): _O,
-    (0b11, 0b111): _O,
+    (index >> 3, index & 0b111): _SYMBOL_RULES[symbol]
+    for index, symbol in enumerate(_TABLE_SYMBOLS)
 }
 
 
@@ -111,8 +84,7 @@ class MysteryTable:
     entries: Mapping[Tuple[int, int], CellRule]
 
     def __post_init__(self) -> None:
-        expected = {(ab, cde) for ab in range(4) for cde in range(8)}
-        if set(self.entries) != expected:
+        if set(self.entries) != _DEFAULT_RULES.keys():
             raise ValueError("table must map exactly the 32 (2-bit, 3-bit) contexts")
         if any(not isinstance(v, CellRule) for v in self.entries.values()):
             raise ValueError("table values must be CellRule members")
@@ -144,8 +116,7 @@ class ModelBitSource:
     """
 
     def __init__(self, seed: int):
-        if not 0 <= seed <= 0xFFFF:
-            raise ValueError(f"seed must be a 16-bit value, got {seed!r}")
+        _check_word(seed, "seed")
         self.state = seed
 
     def draw(self, kind: DrawKind) -> int:

@@ -102,13 +102,11 @@ class SignatureTemplate:
                 if len(token) < 2:
                     raise ValueError("slot token must be ?name")
                 elements.append(token[1:])
-            elif len(token) == 2:
-                try:
-                    elements.append(int(token, 16))
-                except ValueError:
-                    raise ValueError(f"bad hex byte token: {token!r}") from None
+            # int(token, 16) alone would also take "+1", "-0" and non-ASCII digits
+            elif len(token) == 2 and all(c in "0123456789abcdefABCDEF" for c in token):
+                elements.append(int(token, 16))
             else:
-                raise ValueError(f"token must be two hex digits or ?name: {token!r}")
+                raise ValueError(f"token must be two ASCII hex digits or ?name: {token!r}")
         return cls(tuple(elements))
 
 

@@ -58,6 +58,15 @@ class TestMazeRender:
             "postprocess_fired",
         }
 
+    # No golden maze fires a rule, so these seeds pin how a fired rule is written.
+    @pytest.mark.parametrize("seed, rule", [("986", "condition1"), ("6", "condition2")])
+    def test_json_names_a_fired_postprocess_rule(self, capsys, seed, rule):
+        code, out, _ = run_cli(capsys, "maze-render", "--seed", seed, "--format", "json")
+        assert code == 0
+        fired = {t["postprocess_fired"] for t in parse_envelope(out)["results"]["traces"]}
+        assert rule in fired
+        assert fired <= {None, "condition1", "condition2"}
+
     def test_rows_zero_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["maze-render", "--rows", "0"])
@@ -189,9 +198,12 @@ class TestScan:
         results = parse_envelope(out)["results"]
         assert [(h["offset"], h["bindings"]) for h in results["hits"]] == [(0, {"a": 0x55})]
 
-    def test_bad_signature_file_is_runtime_error(self, capsys, tmp_path):
+    @pytest.mark.parametrize(
+        "text", ["not hex tokens!", "+1 ?w a5"], ids=["not-hex", "signed-byte"]
+    )
+    def test_bad_signature_file_is_runtime_error(self, capsys, tmp_path, text):
         sig_file = tmp_path / "sig.txt"
-        sig_file.write_text("not hex tokens!")
+        sig_file.write_text(text)
         target = tmp_path / "data.bin"
         target.write_bytes(b"\x00")
         code, _, err = run_cli(capsys, "scan", "--file", str(target), "--signature", str(sig_file))
@@ -253,6 +265,11 @@ class TestStats:
         assert results["rows_generated"] == 180
         assert results["condition1_fires"] + results["condition2_fires"] <= 180
         assert 0.0 <= results["unsolvable_fraction"] <= 1.0
+
+    def test_derived_seeds_wrap_past_the_top_seed(self, capsys):
+        code, out, _ = run_cli(capsys, "stats", "--mazes", "3", "--seed", "0xFFFF")
+        assert code == 0
+        assert parse_envelope(out)["results"]["mazes_generated"] == 3
 
     def test_byte_identical_across_runs(self, capsys):
         _, out_a, _ = run_cli(capsys, "stats", "--mazes", "2", "--seed", "7")

@@ -6,6 +6,7 @@ import pytest
 
 from entombed.maze_analysis import (
     Grid,
+    derived_seed,
     expand_row,
     is_solvable,
     maze_survey,
@@ -14,6 +15,7 @@ from entombed.maze_analysis import (
     table_stats,
 )
 from entombed.mazegen import CellRule, MysteryTable, _DEFAULT_RULES, default_table
+from entombed.prng import buggy_step
 
 
 class TestExpandRow:
@@ -215,6 +217,16 @@ class TestSurvey:
     def test_n_mazes_must_be_positive(self):
         with pytest.raises(ValueError):
             maze_survey(0, seed=1)
+
+
+class TestDerivedSeed:
+    def test_wraps_past_65536(self):
+        assert derived_seed(0xFFFF, 1) == buggy_step(0)
+
+    def test_period_is_65536_in_the_index(self):
+        for seed in (0, 1, 0xFF00, 0xFFFF):
+            for index in (0, 1, 255, 0xFFFF):
+                assert derived_seed(seed, index + 0x10000) == derived_seed(seed, index)
 
 
 class TestTableStats:

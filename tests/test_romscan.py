@@ -94,6 +94,10 @@ class TestSignatureTemplate:
             SignatureTemplate.from_text("a5 ?")
         with pytest.raises(ValueError):
             SignatureTemplate.from_text("0xa5")
+        # int(token, 16) takes a sign and any Unicode digit; a byte token may not
+        for token in ("+1", "-0", "+f", "\u0661\u0662", "\uff11\uff12"):
+            with pytest.raises(ValueError):
+                SignatureTemplate.from_text(token)
 
 
 class TestScanBytes:
