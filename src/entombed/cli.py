@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from collections import Counter
 from dataclasses import asdict
@@ -26,22 +27,27 @@ EXIT_RUNTIME = 1
 EXIT_USAGE = 2
 
 
+_DECIMAL = re.compile(r"[0-9]+")
+_DECIMAL_OR_HEX = re.compile(r"[0-9]+|0[xX][0-9a-fA-F]+")
+
+
+def _integer(text: str, syntax: re.Pattern[str]) -> int:
+    """Parse exactly ``syntax``: ASCII digits, no sign, underscore or padding."""
+    if not syntax.fullmatch(text):
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}")
+    return int(text, 16 if text[:2] in ("0x", "0X") else 10)
+
+
 def _word16(text: str) -> int:
     """Parse a 16-bit value, decimal or 0x-prefixed hex."""
-    try:
-        value = int(text, 0)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    value = _integer(text, _DECIMAL_OR_HEX)
     if not 0 <= value <= 0xFFFF:
         raise argparse.ArgumentTypeError(f"must be in [0, 65535]: {text!r}")
     return value
 
 
 def _positive(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    value = _integer(text, _DECIMAL)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1: {text!r}")
     return value
@@ -250,7 +256,16 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout fails here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # The reader stopped early (say, ``| head``), which is not a failure.
+        # Send what is still buffered to devnull so shutdown stays silent.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_OK
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME

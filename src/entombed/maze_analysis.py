@@ -14,7 +14,7 @@ path; that is what the make-break pickup exists to fix.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -39,6 +39,7 @@ def _screen_row(row: int) -> Tuple[int, ...]:
 # The screen format, stated once: the 256 possible screen rows, indexed by
 # the 8-bit row. Rendering, parsing and Grid validation all derive from it.
 SCREEN_ROWS: Tuple[Tuple[int, ...], ...] = tuple(_screen_row(row) for row in range(0x100))
+_ROW_BY_CELLS: Dict[Tuple[int, ...], int] = {cells: row for row, cells in enumerate(SCREEN_ROWS)}
 _SCREEN_TEXT: Dict[Tuple[int, ...], str] = {
     cells: " ".join("".join("_X"[c] for c in half) for half in (cells[:20], cells[20:]))
     for cells in SCREEN_ROWS
@@ -82,7 +83,7 @@ class Grid:
             raise ValueError("grid must have at least one row")
         for r, row in enumerate(self.cells):
             try:
-                valid = row in _SCREEN_TEXT  # keyed by exactly the SCREEN_ROWS
+                valid = row in _ROW_BY_CELLS
             except TypeError:  # unhashable, e.g. a list row
                 valid = False
             if not valid:
@@ -107,12 +108,46 @@ class SolvabilityReport:
     witness_path: Optional[List[Tuple[int, int]]] = None
 
 
-def is_solvable(grid: Grid) -> SolvabilityReport:
-    """Breadth-first search from every open top-row cell toward the bottom.
+def _spread(reach: int, opens: int) -> int:
+    """Grow ``reach`` sideways through the open cells of one 8-bit row."""
+    while True:
+        grown = (reach | (reach << 1) | (reach >> 1)) & opens
+        if grown == reach:
+            return reach
+        reach = grown
 
-    Movement is between 4-neighbour open cells. When a bottom-row cell is
-    reached the report carries one witness path, top to bottom.
+
+def _reaches_bottom(rows: Sequence[int]) -> bool:
+    """Flood fill over the folded rows, one 8-bit open mask per row.
+
+    Folding loses no path: each doubled pair of screen columns is one cell,
+    and the left half mirrors the right, so bit ``7 - j`` is the pair at
+    columns ``4 + 2j`` and ``5 + 2j`` and the two centre pairs are the same
+    cell (bit 0).
     """
+    opens = [~row & 0xFF for row in rows]
+    last = len(opens) - 1
+    reach = [0] * len(opens)
+    reach[0] = opens[0]
+    pending = [0]
+    while pending:
+        r = pending.pop()
+        for nr in (r - 1, r + 1):  # popped downward first
+            if 0 <= nr <= last and reach[r] & opens[nr] & ~reach[nr]:
+                reach[nr] = _spread(reach[nr] | (reach[r] & opens[nr]), opens[nr])
+                pending.append(nr)
+    return reach[last] != 0
+
+
+def is_solvable(grid: Grid) -> SolvabilityReport:
+    """Whether an open top-row cell reaches the bottom row, with a witness.
+
+    Movement is between 4-neighbour open cells. The verdict comes from a
+    bitset flood fill over the 8-bit rows; only a solvable grid pays for the
+    breadth-first search that builds one witness path, top to bottom.
+    """
+    if not _reaches_bottom([_ROW_BY_CELLS[cells] for cells in grid.cells]):
+        return SolvabilityReport(solvable=False)
     # Every row mirrors across the centre, so reflecting a path's right-half
     # cells gives a left-half path between the same rows: search columns 0-19.
     height, width = grid.height, GRID_WIDTH // 2
@@ -123,7 +158,7 @@ def is_solvable(grid: Grid) -> SolvabilityReport:
         if cells[0][c] == 0:
             parents[(0, c)] = None
             queue.append((0, c))
-    while queue:
+    while True:  # the flood fill found a path, so the bottom row is reached
         r, c = queue.popleft()
         if r == height - 1:
             path = []
@@ -138,7 +173,6 @@ def is_solvable(grid: Grid) -> SolvabilityReport:
                 if (nr, nc) not in parents:
                     parents[(nr, nc)] = (r, c)
                     queue.append((nr, nc))
-    return SolvabilityReport(solvable=False)
 
 
 @dataclass
@@ -164,28 +198,34 @@ def maze_survey(
     seed: int,
     table: Optional[MysteryTable] = None,
 ) -> PatternStats:
-    """Generate ``n_mazes`` mazes with the model source and tally behaviour.
+    """Tally ``n_mazes`` model-source mazes, generating one per phase.
 
     Maze ``i`` uses a model source seeded with :func:`derived_seed`, so a
-    fixed ``seed`` reproduces the whole batch exactly.
+    fixed ``seed`` reproduces the whole batch exactly. The model source
+    draws bit 7 of the low state byte, and that byte evolves on its own:
+    ``buggy_step(s) & 0xFF == (5 * (s & 0xFF) + 1) & 0xFF`` for every
+    ``s``, a full-period LCG mod 256 (the carry defect only reaches the high
+    byte). So every draw, and the whole maze, depends only on the seed's
+    phase ``seed & 0xFF``. The survey counts how often each phase occurs,
+    generates and solves one maze per phase, and weights its condition 1
+    fires, condition 2 fires and verdict by that count: at most 256 mazes
+    for any ``n_mazes``.
     """
     if n_mazes < 1:
         raise ValueError(f"n_mazes must be >= 1, got {n_mazes!r}")
     if table is None:
         table = default_table()
+    phases = Counter(derived_seed(seed, i) & 0xFF for i in range(n_mazes))
     condition1 = 0
     condition2 = 0
     unsolvable = 0
-    for i in range(n_mazes):
-        source = ModelBitSource(derived_seed(seed, i))
-        rows, traces = generate_maze(source, rows_per_maze, table)
-        for trace in traces:
-            if trace.postprocess_fired is PostprocessRule.CONDITION1:
-                condition1 += 1
-            elif trace.postprocess_fired is PostprocessRule.CONDITION2:
-                condition2 += 1
+    for phase, count in phases.items():
+        rows, traces = generate_maze(ModelBitSource(phase), rows_per_maze, table)
+        fired = Counter(trace.postprocess_fired for trace in traces)
+        condition1 += count * fired[PostprocessRule.CONDITION1]
+        condition2 += count * fired[PostprocessRule.CONDITION2]
         if not is_solvable(Grid.from_rows(rows)).solvable:
-            unsolvable += 1
+            unsolvable += count
     return PatternStats(
         rows_generated=n_mazes * rows_per_maze,
         condition1_fires=condition1,

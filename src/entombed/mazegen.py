@@ -113,6 +113,11 @@ class ModelBitSource:
     a documented, deterministic model rather than a claim of fidelity.
     (Bit 0 is unusable for modelling: with an odd multiplier and increment
     it strictly alternates every step.)
+
+    The low byte steps on its own, ``(5 * low + 1) & 0xFF`` under either
+    generator, so the draws cycle with period 256 and the seed only picks
+    the phase ``seed & 0xFF``: seeds that share a low byte draw the same
+    bits, and no draw shows the carry defect.
     """
 
     def __init__(self, seed: int):

@@ -285,6 +285,55 @@ class TestStats:
         assert exc.value.code == 2
 
 
+class TestNumberArguments:
+    @pytest.mark.parametrize("option", ["--mazes", "--rows", "--seed"])
+    @pytest.mark.parametrize(
+        "text",
+        ["+3", "-0", "1_0", " 2", "2 ", "\t2", "\u0663", "\uff12", "+0x1_0", "0x", "0b11", "0o7", ""],
+        ids=["plus", "minus-zero", "underscore", "lead-space", "trail-space", "tab",
+             "arabic-digit", "fullwidth-digit", "signed-hex", "bare-0x", "binary", "octal", "empty"],
+    )
+    def test_rejects_anything_but_ascii_decimal_or_hex(self, capsys, option, text):
+        argv = ["stats", "--mazes", "1", option, text]
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        assert "not a number" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("option", ["--mazes", "--rows"])
+    @pytest.mark.parametrize("text", ["0x10", "0X10"])
+    def test_counts_take_no_hex(self, capsys, option, text):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["stats", "--mazes", "1", option, text])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("text", ["16", "0x10", "0X10", "0x0010"])
+    def test_seed_takes_decimal_and_hex(self, capsys, text):
+        code, out, _ = run_cli(capsys, "stats", "--mazes", "1", "--seed", text)
+        assert code == 0
+        assert parse_envelope(out)["parameters"]["seed"] == 16
+
+
+class TestClosedStdout:
+    @pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
+    def test_reader_closing_early_exits_quietly(self, unbuffered):
+        # The read end closes before the child writes, so every write meets
+        # a broken pipe; the timeout turns a hang into a failure.
+        src = str(Path(cli.__file__).resolve().parents[1])
+        pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONPATH": pythonpath, "PYTHONUNBUFFERED": unbuffered}
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "entombed.cli", "stats", "--mazes", "3"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        proc.stdout.close()
+        try:
+            _, err = proc.communicate(timeout=20)
+        finally:
+            proc.kill()
+        assert (proc.returncode, err) == (0, b"")
+
+
 class TestEnvelope:
     @pytest.mark.parametrize(
         "argv",

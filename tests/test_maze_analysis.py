@@ -6,6 +6,7 @@ import pytest
 
 from entombed.maze_analysis import (
     Grid,
+    PatternStats,
     derived_seed,
     expand_row,
     is_solvable,
@@ -14,7 +15,15 @@ from entombed.maze_analysis import (
     render_row,
     table_stats,
 )
-from entombed.mazegen import CellRule, MysteryTable, _DEFAULT_RULES, default_table
+from entombed.mazegen import (
+    CellRule,
+    ModelBitSource,
+    MysteryTable,
+    PostprocessRule,
+    _DEFAULT_RULES,
+    default_table,
+    generate_maze,
+)
 from entombed.prng import buggy_step
 
 
@@ -195,6 +204,154 @@ class TestSolvability:
     def test_single_row_grid(self):
         assert is_solvable(Grid.from_rows([0x00])).solvable
         assert not is_solvable(Grid.from_rows([0xFF])).solvable
+
+    @pytest.mark.parametrize(
+        "rows",
+        [[0xFE], [0x00] * 60, [0x00] * 59 + [0xFF], [0x00] * 30 + [0xFF] * 30],
+        ids=["1-row-one-cell", "60-all-open", "blocked-bottom", "blocked-half"],
+    )
+    def test_edge_grids_agree_with_union_find(self, rows):
+        grid = Grid.from_rows(rows)
+        assert is_solvable(grid).solvable == union_find_solvable(grid)
+
+
+# Folded rows drawn left to right, bit 7 first: "#" wall, "." open.
+# Each path must climb at least once between the top and the bottom row.
+SERPENTINES = {
+    "one-climb": [
+        ".#######",
+        ".#...###",
+        ".#.#.###",
+        ".#.#.###",
+        "...#.###",
+        "####.###",
+        "####.###",
+    ],
+    "one-climb-by-the-centre": [
+        "#######.",
+        "###...#.",
+        "###.#.#.",
+        "###.#.#.",
+        "###.#...",
+        "###.####",
+        "###.####",
+    ],
+    "two-climbs": [
+        ".#######",
+        ".#...###",
+        ".#.#.###",
+        ".#.#.###",
+        "...#.###",
+        "####.###",
+        "####.###",
+        "...#.###",
+        ".#.#.###",
+        ".#.#.###",
+        ".#...###",
+        ".#######",
+        ".#######",
+    ],
+}
+
+
+def _folded(picture):
+    return [int(line.replace("#", "1").replace(".", "0"), 2) for line in picture]
+
+
+def _top_down_sweep(rows):
+    """A verdict that only ever moves down or sideways; wrong on serpentines."""
+    reach = ~rows[0] & 0xFF
+    for row in rows[1:]:
+        opens, reach = ~row & 0xFF, reach & ~row & 0xFF
+        for _ in range(8):
+            reach |= ((reach << 1) | (reach >> 1)) & opens
+    return reach != 0
+
+
+class TestSerpentines:
+    @pytest.mark.parametrize("name", sorted(SERPENTINES))
+    def test_verdict_agrees_with_union_find(self, name):
+        rows = _folded(SERPENTINES[name])
+        grid = Grid.from_rows(rows)
+        assert is_solvable(grid).solvable == union_find_solvable(grid) is True
+        assert not _top_down_sweep(rows)
+
+    @pytest.mark.parametrize("name", sorted(SERPENTINES))
+    def test_blocking_the_climb_makes_it_unsolvable(self, name):
+        rows = _folded(SERPENTINES[name])
+        rows[-1] = 0xFF
+        grid = Grid.from_rows(rows)
+        assert is_solvable(grid).solvable == union_find_solvable(grid) is False
+
+    @pytest.mark.parametrize("name", sorted(SERPENTINES))
+    def test_witness_climbs(self, name):
+        path = is_solvable(Grid.from_rows(_folded(SERPENTINES[name]))).witness_path
+        assert any(r2 < r1 for (r1, _), (r2, _) in zip(path, path[1:]))
+
+
+def reference_surveys(n_mazes, rows_per_maze=60, *, seed, table=None):
+    """The plain loop: generate and solve maze after maze, yielding the
+    running tallies, so item ``k`` is the survey of the first ``k + 1``."""
+    condition1 = condition2 = unsolvable = 0
+    for i in range(n_mazes):
+        rows, traces = generate_maze(ModelBitSource(derived_seed(seed, i)), rows_per_maze, table)
+        for trace in traces:
+            condition1 += trace.postprocess_fired is PostprocessRule.CONDITION1
+            condition2 += trace.postprocess_fired is PostprocessRule.CONDITION2
+        unsolvable += not is_solvable(Grid.from_rows(rows)).solvable
+        yield PatternStats(
+            rows_generated=(i + 1) * rows_per_maze,
+            condition1_fires=condition1,
+            condition2_fires=condition2,
+            mazes_generated=i + 1,
+            unsolvable_count=unsolvable,
+        )
+
+
+def reference_survey(n_mazes, rows_per_maze=60, *, seed, table=None):
+    for stats in reference_surveys(n_mazes, rows_per_maze, seed=seed, table=table):
+        pass
+    return stats
+
+
+class TestSurveyMatchesReference:
+    @pytest.mark.parametrize("seed", [0, 1, 0xFF00, 0xFFFF])
+    def test_around_one_full_cycle_of_phases(self, seed):
+        reference = list(reference_surveys(257, seed=seed))
+        for n_mazes in (1, 255, 256, 257):
+            assert maze_survey(n_mazes, seed=seed) == reference[n_mazes - 1], n_mazes
+
+    def test_5000_mazes(self):
+        assert maze_survey(5000, seed=1) == reference_survey(5000, seed=1)
+
+    def test_past_the_derived_seed_wrap(self):
+        # Index 65536 reuses index 0's derived seed; short mazes keep this cheap.
+        expected = reference_survey(65537, 2, seed=3)
+        assert maze_survey(65537, 2, seed=3) == expected
+
+    def test_custom_table(self):
+        entries = dict(_DEFAULT_RULES)
+        for key in list(entries)[::3]:
+            entries[key] = CellRule.RANDOM
+        table = MysteryTable(entries)
+        assert maze_survey(300, 30, seed=7, table=table) == reference_survey(
+            300, 30, seed=7, table=table
+        )
+        assert maze_survey(300, 30, seed=7, table=table) != maze_survey(300, 30, seed=7)
+
+    def test_low_byte_follows_its_own_lcg(self):
+        # The fact the survey rests on: the model source's draws (bit 7 of
+        # the low byte) depend only on the seed's low byte.
+        for state in range(0x10000):
+            assert buggy_step(state) & 0xFF == (5 * (state & 0xFF) + 1) & 0xFF
+
+    def test_all_65536_indices(self):
+        stats = maze_survey(65536, seed=1)
+        assert (stats.condition1_fires, stats.condition2_fires, stats.unsolvable_count) == (
+            256,
+            66048,
+            62208,
+        )
 
 
 class TestSurvey:
