@@ -15,7 +15,7 @@ path; that is what the make-break pickup exists to fix.
 from __future__ import annotations
 
 from collections import Counter, deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .mazegen import (
@@ -40,23 +40,27 @@ def _screen_row(row: int) -> Tuple[int, ...]:
 # the 8-bit row. Rendering, parsing and Grid validation all derive from it.
 SCREEN_ROWS: Tuple[Tuple[int, ...], ...] = tuple(_screen_row(row) for row in range(0x100))
 _ROW_BY_CELLS: Dict[Tuple[int, ...], int] = {cells: row for row, cells in enumerate(SCREEN_ROWS)}
-_SCREEN_TEXT: Dict[Tuple[int, ...], str] = {
-    cells: " ".join("".join("_X"[c] for c in half) for half in (cells[:20], cells[20:]))
+_SCREEN_TEXT: Tuple[str, ...] = tuple(
+    " ".join("".join("_X"[c] for c in half) for half in (cells[:20], cells[20:]))
     for cells in SCREEN_ROWS
-}
-_ROW_BY_TEXT = {_SCREEN_TEXT[cells]: row for row, cells in enumerate(SCREEN_ROWS)}
+)
+_ROW_BY_TEXT = {text: row for row, text in enumerate(_SCREEN_TEXT)}
+
+
+def _check_row(row: int) -> int:
+    if not 0 <= row <= 0xFF:
+        raise ValueError(f"row must be an 8-bit value, got {row!r}")
+    return row
 
 
 def expand_row(row: int) -> Tuple[int, ...]:
     """One 8-bit row as 40 wall bits: side wall, doubled bits, mirror."""
-    if not 0 <= row <= 0xFF:
-        raise ValueError(f"row must be an 8-bit value, got {row!r}")
-    return SCREEN_ROWS[row]
+    return SCREEN_ROWS[_check_row(row)]
 
 
 def render_row(row: int) -> str:
     """Text for a row: 20 cells per half (``X`` wall, ``_`` open), one space between."""
-    return _SCREEN_TEXT[expand_row(row)]
+    return _SCREEN_TEXT[_check_row(row)]
 
 
 def parse_row(line: str) -> int:
@@ -67,27 +71,32 @@ def parse_row(line: str) -> int:
     return row
 
 
-@dataclass
+@dataclass(frozen=True)
 class Grid:
-    """A wall matrix with the screen's structure baked in.
+    """A frozen wall matrix with the screen's structure baked in.
 
-    Every row must be one of the 256 :data:`SCREEN_ROWS` as a tuple, which
-    fixes its width, side walls, mirror symmetry and bit doubling. Build
+    Every row of ``cells`` must be one of the 256 :data:`SCREEN_ROWS` as a
+    tuple, which fixes its width, side walls, mirror symmetry and bit
+    doubling. The lookup that validates a row also records its 8-bit row in
+    ``rows``, which the solver floods; neither can change afterwards. Build
     one from 8-bit rows with :meth:`from_rows`.
     """
 
-    cells: List[Tuple[int, ...]]
+    cells: Tuple[Tuple[int, ...], ...]
+    rows: Tuple[int, ...] = field(init=False)
 
     def __post_init__(self) -> None:
-        if not self.cells:
+        cells = tuple(self.cells)
+        if not cells:
             raise ValueError("grid must have at least one row")
-        for r, row in enumerate(self.cells):
+        rows = []
+        for r, row in enumerate(cells):
             try:
-                valid = row in _ROW_BY_CELLS
-            except TypeError:  # unhashable, e.g. a list row
-                valid = False
-            if not valid:
-                raise ValueError(f"grid row {r} is not one of the 256 screen rows")
+                rows.append(_ROW_BY_CELLS[row])
+            except (KeyError, TypeError):  # TypeError: unhashable, e.g. a list row
+                raise ValueError(f"grid row {r} is not one of the 256 screen rows") from None
+        object.__setattr__(self, "cells", cells)
+        object.__setattr__(self, "rows", tuple(rows))
 
     @classmethod
     def from_rows(cls, rows: Sequence[int]) -> "Grid":
@@ -146,7 +155,7 @@ def is_solvable(grid: Grid) -> SolvabilityReport:
     bitset flood fill over the 8-bit rows; only a solvable grid pays for the
     breadth-first search that builds one witness path, top to bottom.
     """
-    if not _reaches_bottom([_ROW_BY_CELLS[cells] for cells in grid.cells]):
+    if not _reaches_bottom(grid.rows):
         return SolvabilityReport(solvable=False)
     # Every row mirrors across the centre, so reflecting a path's right-half
     # cells gives a left-half path between the same rows: search columns 0-19.
@@ -206,21 +215,20 @@ def maze_survey(
     ``buggy_step(s) & 0xFF == (5 * (s & 0xFF) + 1) & 0xFF`` for every
     ``s``, a full-period LCG mod 256 (the carry defect only reaches the high
     byte). So every draw, and the whole maze, depends only on the seed's
-    phase ``seed & 0xFF``. The survey counts how often each phase occurs,
-    generates and solves one maze per phase, and weights its condition 1
-    fires, condition 2 fires and verdict by that count: at most 256 mazes
-    for any ``n_mazes``.
+    phase ``seed & 0xFF``. The survey counts how often each phase occurs in
+    closed form, generates and solves one maze per phase, and weights its
+    condition 1 fires, condition 2 fires and verdict by that count: at most
+    256 mazes, and O(256) work, for any ``n_mazes``.
     """
     if n_mazes < 1:
         raise ValueError(f"n_mazes must be >= 1, got {n_mazes!r}")
     if table is None:
         table = default_table()
-    phases = Counter(derived_seed(seed, i) & 0xFF for i in range(n_mazes))
-    condition1 = 0
-    condition2 = 0
-    unsolvable = 0
-    for phase, count in phases.items():
-        rows, traces = generate_maze(ModelBitSource(phase), rows_per_maze, table)
+    condition1 = condition2 = unsolvable = 0
+    for i in range(min(n_mazes, 0x100)):
+        # Indices i, i + 256, i + 512, ... share the seed low byte, so the phase.
+        count = n_mazes // 0x100 + (i < n_mazes % 0x100)
+        rows, traces = generate_maze(ModelBitSource(derived_seed(seed, i)), rows_per_maze, table)
         fired = Counter(trace.postprocess_fired for trace in traces)
         condition1 += count * fired[PostprocessRule.CONDITION1]
         condition2 += count * fired[PostprocessRule.CONDITION2]

@@ -191,18 +191,13 @@ class RowTrace:
     row_before_postprocess: int
     postprocess_fired: Optional[PostprocessRule] = None
 
-    def records(self) -> List[Tuple[DrawKind, int]]:
-        """The row's draws in draw order, ready for a replay source."""
-        out = [(DrawKind.LEFT, self.left_bit), (DrawKind.RIGHT, self.right_bit)]
-        out.extend((DrawKind.MID, bit) for bit in self.mid_bits)
-        return out
-
 
 def records_from_traces(traces: Sequence[RowTrace]) -> List[Tuple[DrawKind, int]]:
-    """Flatten per-row traces into one replayable tape."""
+    """Flatten per-row traces into one replayable tape, in draw order."""
     out: List[Tuple[DrawKind, int]] = []
     for trace in traces:
-        out.extend(trace.records())
+        out += [(DrawKind.LEFT, trace.left_bit), (DrawKind.RIGHT, trace.right_bit)]
+        out.extend((DrawKind.MID, bit) for bit in trace.mid_bits)
     return out
 
 
@@ -240,27 +235,21 @@ def postprocess(history: Sequence[int]) -> Tuple[List[int], Optional[Postprocess
     """Apply the two pattern-breaking rules to the newest row.
 
     Expects the newest row already appended and the history trimmed to at
-    most 11 rows. Both rules are checked in order; condition 1 zeroes the
-    newest row, which then empties the low-nibble window, so condition 2
-    can never fire on top of it.
+    most 11 rows; returns a new list. Condition 1: every row has a non-empty
+    high nibble with bit 7 clear (``0x10 <= r < 0x80``), and the newest row
+    is zeroed. Condition 2: of at least nine rows, the newest seven all have
+    a non-empty low nibble and bit 0 equal to that of the ninth-last row,
+    and the newest row's low nibble is cleared. Condition 1 empties the
+    low-nibble window, so condition 2 can never fire on top of it.
     """
     rows = list(history)
-    fired: Optional[PostprocessRule] = None
-
-    high_nibbles = [r & 0xF0 for r in rows]
-    if 0 not in high_nibbles and all(r & 0x80 == 0 for r in rows):
+    if all(0x10 <= r < 0x80 for r in rows):
         rows[-1] = 0
-        fired = PostprocessRule.CONDITION1
-
-    low_nibbles = [r & 0x0F for r in rows[-7:]]
-    if 0 not in low_nibbles and len(rows) >= 9:
-        comparator = rows[-9]
-        if sum(r & 1 for r in low_nibbles) == (comparator & 1) * 7:
-            rows[-1] &= 0xF0
-            if fired is None:
-                fired = PostprocessRule.CONDITION2
-
-    return rows, fired
+        return rows, PostprocessRule.CONDITION1
+    if len(rows) >= 9 and all(r & 0x0F and r & 1 == rows[-9] & 1 for r in rows[-7:]):
+        rows[-1] &= 0xF0
+        return rows, PostprocessRule.CONDITION2
+    return rows, None
 
 
 def generate_maze(
@@ -283,10 +272,7 @@ def generate_maze(
     traces: List[RowTrace] = []
     for _ in range(rows):
         row, trace = generate_row(history, source, table)
-        history.append(row)
-        history = history[-11:]
-        history, fired = postprocess(history)
-        trace.postprocess_fired = fired
+        history, trace.postprocess_fired = postprocess(history[-10:] + [row])
         out_rows.append(history[-1])
         traces.append(trace)
     return out_rows, traces

@@ -1,5 +1,6 @@
 """Tests for playfield expansion, rendering, solvability and surveys."""
 
+import dataclasses
 import random
 
 import pytest
@@ -125,6 +126,30 @@ class TestGrid:
         for bad in bad_rows:
             with pytest.raises(ValueError):
                 Grid([expand_row(0x00), bad])
+
+    def test_rows_are_the_rows_each_screen_row_stands_for(self):
+        assert Grid([expand_row(r) for r in range(256)]).rows == tuple(range(256))
+        assert Grid.from_rows([0x12, 0xFF, 0x00]).rows == (0x12, 0xFF, 0x00)
+
+    def test_cannot_be_changed_after_construction(self):
+        # Rows are validated once, at construction, so nothing may change
+        # them later; a reassigned row used to reach is_solvable unchecked.
+        g = Grid.from_rows([0, 0])
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            g.cells = [(0,) * 40, (0,) * 40]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            g.rows = (0xFF, 0xFF)
+        with pytest.raises(TypeError):
+            g.cells[0] = (0,) * 40
+        assert g.rows == (0, 0)
+        assert is_solvable(g).solvable
+
+    def test_stores_list_cells_as_a_tuple(self):
+        cells = [expand_row(0x00), expand_row(0x5A)]
+        grid = Grid(cells)
+        cells[0] = (0,) * 40
+        assert grid.cells == (expand_row(0x00), expand_row(0x5A))
+        assert grid == Grid.from_rows([0x00, 0x5A])
 
 
 def union_find_solvable(grid: Grid) -> bool:
@@ -344,6 +369,25 @@ class TestSurveyMatchesReference:
         # the low byte) depend only on the seed's low byte.
         for state in range(0x10000):
             assert buggy_step(state) & 0xFF == (5 * (state & 0xFF) + 1) & 0xFF
+
+    @pytest.mark.parametrize("rows_per_maze", [2, 60])
+    @pytest.mark.parametrize("seed, r", [(1, 1), (0, 100), (0xFFFF, 255), (0x1234, 77)])
+    def test_a_million_cycles_of_phases(self, seed, r, rows_per_maze):
+        # Indices 256 m + j share index j's seed low byte, so 256 m + r mazes
+        # are m whole 256-maze surveys plus the survey of the first r.
+        m = 10**6
+        whole = maze_survey(256, rows_per_maze, seed=seed)
+        part = maze_survey(r, rows_per_maze, seed=seed)
+        assert maze_survey(256 * m + r, rows_per_maze, seed=seed) == PatternStats(
+            rows_generated=(256 * m + r) * rows_per_maze,
+            condition1_fires=m * whole.condition1_fires + part.condition1_fires,
+            condition2_fires=m * whole.condition2_fires + part.condition2_fires,
+            mazes_generated=256 * m + r,
+            unsolvable_count=m * whole.unsolvable_count + part.unsolvable_count,
+        )
+        assert whole.unsolvable_count > 0
+        if rows_per_maze == 60:
+            assert whole.condition1_fires > 0 and whole.condition2_fires > 0
 
     def test_all_65536_indices(self):
         stats = maze_survey(65536, seed=1)

@@ -1,6 +1,7 @@
 """Tests for the row generator, the context table and the bit sources."""
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -173,6 +174,54 @@ class TestPostprocess:
         history = [0x70] * 11
         postprocess(history)
         assert history == [0x70] * 11
+
+    def test_matches_the_nibble_list_rules_on_random_windows(self):
+        rng = random.Random(11)
+        pools = [
+            range(0x10, 0x80),  # condition 1
+            [r for r in range(0x10, 0x80) if r & 1],  # condition 1 where 2 would fire
+            [r for r in range(0x100) if r & 1],  # condition 2 on a column of ones
+            [r for r in range(0x100) if r & 0x0F and not r & 1],  # ... of zeros
+            range(0x100),
+        ]
+        seen = Counter()
+        for _ in range(20000):
+            p = rng.randrange(len(pools))
+            history = [rng.choice(pools[p]) for _ in range(rng.randint(1, 11))]
+            if rng.random() < 0.2:
+                history[rng.randrange(len(history))] = rng.randrange(0x100)
+            before = list(history)
+            got = postprocess(history)
+            assert got == nibble_list_postprocess(history), history
+            assert history == before
+            seen[p, len(history) >= 9, got[1]] += 1
+        c1, c2 = PostprocessRule.CONDITION1, PostprocessRule.CONDITION2
+        assert seen[0, False, c1] and seen[1, True, c1]
+        assert seen[2, True, c2] and seen[3, True, c2]
+        assert seen[2, False, None] and seen[3, False, None]  # under nine rows
+        assert seen[2, True, None] and seen[4, True, None]
+
+
+def nibble_list_postprocess(history):
+    """The two rules as first written, over lists of nibbles, kept as an
+    independent check on :func:`postprocess`."""
+    rows = list(history)
+    fired = None
+
+    high_nibbles = [r & 0xF0 for r in rows]
+    if 0 not in high_nibbles and all(r & 0x80 == 0 for r in rows):
+        rows[-1] = 0
+        fired = PostprocessRule.CONDITION1
+
+    low_nibbles = [r & 0x0F for r in rows[-7:]]
+    if 0 not in low_nibbles and len(rows) >= 9:
+        comparator = rows[-9]
+        if sum(r & 1 for r in low_nibbles) == (comparator & 1) * 7:
+            rows[-1] &= 0xF0
+            if fired is None:
+                fired = PostprocessRule.CONDITION2
+
+    return rows, fired
 
 
 class TestSources:
