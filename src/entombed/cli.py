@@ -111,7 +111,7 @@ def _graph_summary(rho: prng.RhoDecomposition) -> dict:
 def _cmd_prng(args: argparse.Namespace) -> int:
     if args.mode == "survey":
         surveys = prng.canonical_seed_survey()
-        max_distinct, argmax_seed = prng.max_distinct_over_canonical_seeds()
+        max_distinct, argmax_seed = prng.max_distinct_over_canonical_seeds(surveys)
         results = {
             "steps": prng.WORD_COUNT,
             "max_distinct": max_distinct,
@@ -154,6 +154,8 @@ def _cmd_prng(args: argparse.Namespace) -> int:
 def _load_signature(selector: str) -> romscan.SignatureTemplate:
     if selector == "builtin":
         return romscan.prng_signature()
+    if os.path.exists(selector) and not os.path.isfile(selector):
+        raise ValueError(f"not a regular file: {selector}")  # a FIFO would block in open()
     with open(selector, "r", encoding="utf-8") as fh:
         return romscan.SignatureTemplate.from_text(fh.read())
 
@@ -173,7 +175,8 @@ def _cmd_scan(args: argparse.Namespace) -> int:
         target = {"file": args.file}
     else:
         if not os.path.isdir(args.dir):
-            print(f"error: no such directory: {args.dir}", file=sys.stderr)
+            reason = "not a directory" if os.path.exists(args.dir) else "no such directory"
+            print(f"error: {reason}: {args.dir}", file=sys.stderr)
             return EXIT_RUNTIME
         paths = []
         for base, _dirs, names in os.walk(args.dir):

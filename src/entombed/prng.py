@@ -25,7 +25,6 @@ from __future__ import annotations
 from array import array
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable, List
 
 WORD_COUNT = 0x10000
@@ -78,25 +77,6 @@ def canonical_seed(b: int) -> int:
     return (b << 8) | b
 
 
-@dataclass(frozen=True)
-class StepComparison:
-    """One state's buggy-vs-correct step, with the structure of the mismatch."""
-
-    state: int
-    buggy: int
-    correct: int
-    low_bytes_equal: bool
-    high_delta_mod256: int
-
-
-def _mismatching_steps():
-    """Yield ``(state, buggy, correct)`` for each disagreeing state, in state order."""
-    for state in range(WORD_COUNT):
-        b, c = buggy_step(state), correct_step(state)
-        if b != c:
-            yield state, b, c
-
-
 @dataclass
 class AgreementReport:
     """Exhaustive comparison of the two step functions over all 65536 states."""
@@ -107,24 +87,18 @@ class AgreementReport:
     high_delta_plus_one: int
     high_delta_minus_one: int
 
-    @cached_property
-    def mismatches(self) -> List[StepComparison]:
-        """One :class:`StepComparison` per mismatch, in state order, built when first read."""
-        return [
-            StepComparison(state, b, c, (b ^ c) & 0xFF == 0, ((b >> 8) - (c >> 8)) & 0xFF)
-            for state, b, c in _mismatching_steps()
-        ]
-
 
 def compare_all_steps() -> AgreementReport:
     """Compare buggy_step against correct_step for every 16-bit state; deterministic."""
     mismatch = low_equal = plus_one = minus_one = 0
-    for _state, b, c in _mismatching_steps():
-        delta = ((b >> 8) - (c >> 8)) & 0xFF
-        mismatch += 1
-        low_equal += (b ^ c) & 0xFF == 0
-        plus_one += delta == 0x01
-        minus_one += delta == 0xFF
+    for state in range(WORD_COUNT):
+        b, c = buggy_step(state), correct_step(state)
+        if b != c:
+            delta = ((b >> 8) - (c >> 8)) & 0xFF
+            mismatch += 1
+            low_equal += (b ^ c) & 0xFF == 0
+            plus_one += delta == 0x01
+            minus_one += delta == 0xFF
     return AgreementReport(1 - mismatch / WORD_COUNT, mismatch, low_equal, plus_one, minus_one)
 
 
@@ -279,14 +253,12 @@ def canonical_seed_survey(
     return surveys
 
 
-def max_distinct_over_canonical_seeds(
-    steps: int = WORD_COUNT, step: Callable[[int], int] = buggy_step
-) -> tuple[int, int]:
-    """Largest number of distinct values any canonical seed's orbit produces.
+def max_distinct_over_canonical_seeds(surveys: List[OrbitStats]) -> tuple[int, int]:
+    """Largest number of distinct values any seed's orbit in ``surveys`` produces.
 
-    Counts values emitted by the generator over ``steps`` draws (the seed
-    itself only counts if the orbit revisits it). Returns the maximum and
-    the first seed achieving it.
+    ``surveys`` is what :func:`canonical_seed_survey` returns. Counts values
+    emitted by the generator (the seed itself only counts if the orbit
+    revisits it). Returns the maximum and the first seed achieving it.
     """
-    best = max(canonical_seed_survey(steps, step), key=lambda s: s.distinct_generated)
+    best = max(surveys, key=lambda s: s.distinct_generated)
     return best.distinct_generated, best.seed

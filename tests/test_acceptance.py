@@ -116,13 +116,12 @@ def test_criterion_03_full_period_from_every_canonical_seed():
 
 
 def test_criterion_04_buggy_orbit_maximum():
-    max_distinct, argmax = prng.max_distinct_over_canonical_seeds()
+    surveys = prng.canonical_seed_survey()
+    max_distinct, argmax = prng.max_distinct_over_canonical_seeds(surveys)
     ok = max_distinct == 1200
     detail = f"max distinct generated values {max_distinct} at seed 0x{argmax:04X}"
     if not ok:
-        histogram = {
-            f"0x{s.seed:04X}": s.distinct_generated for s in prng.canonical_seed_survey()
-        }
+        histogram = {f"0x{s.seed:04X}": s.distinct_generated for s in surveys}
         detail += f"; per-seed histogram: {histogram}"
     _report(4, ok, detail)
     assert max_distinct == 1200, detail
@@ -131,8 +130,11 @@ def test_criterion_04_buggy_orbit_maximum():
 def test_criterion_05_agreement_fraction_and_mismatch_structure():
     report = prng.compare_all_steps()
     fraction_ok = abs(report.fraction_equal - 0.503) <= 0.001
-    structure_ok = all(
-        m.low_bytes_equal and m.high_delta_mod256 in (0x01, 0xFF) for m in report.mismatches
+    pairs = ((prng.buggy_step(s), prng.correct_step(s)) for s in range(WORDS))
+    mismatches = [(b, c) for b, c in pairs if b != c]
+    structure_ok = len(mismatches) == report.mismatch_count and all(
+        (b ^ c) & 0xFF == 0 and ((b >> 8) - (c >> 8)) & 0xFF in (0x01, 0xFF)
+        for b, c in mismatches
     )
     ok = fraction_ok and structure_ok
     _report(5, ok, f"agreement fraction {report.fraction_equal:.6f} (0.503 +/- 0.001), "

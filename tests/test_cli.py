@@ -18,6 +18,17 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def run_cli_child(*argv):
+    """Run the CLI in a subprocess under a timeout, so a blocking open fails the test."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": pythonpath}
+    return subprocess.run(
+        [sys.executable, "-m", "entombed.cli", *argv],
+        capture_output=True, text=True, timeout=20, env=env,
+    )
+
+
 def parse_envelope(out: str) -> dict:
     envelope = json.loads(out)
     assert set(envelope) == {"command", "parameters", "results", "version"}
@@ -86,6 +97,21 @@ class TestPrng:
         assert results["max_distinct"] == 1200
         assert results["argmax_seed"] == 0xB5B5
         assert len(results["per_seed_distinct"]) == 256
+
+    def test_survey_decomposes_the_map_once(self, capsys, monkeypatch):
+        calls = []
+        decompose = prng.rho_decomposition
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return decompose(*args, **kwargs)
+
+        monkeypatch.setattr(prng, "rho_decomposition", counting)
+        code, out, _ = run_cli(capsys, "prng", "--mode", "survey")
+        assert code == 0
+        assert len(calls) == 1
+        golden = Path(__file__).with_name("golden") / "prng_survey.json"
+        assert out == golden.read_text(encoding="utf-8")
 
     def test_compare_reports_agreement(self, capsys):
         code, out, _ = run_cli(capsys, "prng", "--mode", "compare")
@@ -182,6 +208,21 @@ class TestScan:
         assert code == 1
         assert "no such directory" in err
 
+    def test_dir_on_a_regular_file_says_not_a_directory(self, capsys, tmp_path):
+        rom = tmp_path / "rom.bin"
+        rom.write_bytes(b"\x00" * 64)
+        code, out, err = run_cli(capsys, "scan", "--dir", str(rom))
+        assert (code, out) == (1, "")
+        assert err == f"error: not a directory: {rom}\n"
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes on this platform")
+    def test_dir_on_a_fifo_says_not_a_directory(self, tmp_path):
+        pipe = tmp_path / "pipe"
+        os.mkfifo(pipe)
+        done = run_cli_child("scan", "--dir", str(pipe))
+        assert (done.returncode, done.stdout) == (1, "")
+        assert done.stderr == f"error: not a directory: {pipe}\n"
+
     def test_missing_file_is_runtime_error(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "scan", "--file", str(tmp_path / "absent.bin"))
         assert code == 1
@@ -220,13 +261,7 @@ class TestScan:
         # CLI in a subprocess under a timeout: a hang fails instead of stalling.
         os.mkfifo(tmp_path / "pipe")
         (tmp_path / "rom.bin").write_bytes(b"\x00" * 64)
-        src = str(Path(cli.__file__).resolve().parents[1])
-        pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        env = {**os.environ, "PYTHONPATH": pythonpath}
-        done = subprocess.run(
-            [sys.executable, "-m", "entombed.cli", "scan", "--dir", str(tmp_path)],
-            capture_output=True, text=True, timeout=20, env=env,
-        )
+        done = run_cli_child("scan", "--dir", str(tmp_path))
         assert done.returncode == 0, done.stderr
         results = parse_envelope(done.stdout)["results"]
         assert results["files_scanned"] == 1
@@ -244,16 +279,26 @@ class TestScan:
         # fails instead of stalling the suite.
         pipe = tmp_path / "pipe"
         os.mkfifo(pipe)
-        src = str(Path(cli.__file__).resolve().parents[1])
-        pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        env = {**os.environ, "PYTHONPATH": pythonpath}
-        done = subprocess.run(
-            [sys.executable, "-m", "entombed.cli", "scan", "--file", str(pipe)],
-            capture_output=True, text=True, timeout=20, env=env,
-        )
+        done = run_cli_child("scan", "--file", str(pipe))
         assert done.returncode == 1
         assert done.stdout == ""
         assert done.stderr == f"error: not a regular file: {pipe}\n"
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes on this platform")
+    def test_signature_on_a_fifo_is_refused(self, tmp_path):
+        pipe = tmp_path / "sig"
+        os.mkfifo(pipe)
+        target = tmp_path / "rom.bin"
+        target.write_bytes(b"\x00" * 64)
+        done = run_cli_child("scan", "--dir", str(tmp_path), "--signature", str(pipe))
+        assert (done.returncode, done.stdout) == (1, "")
+        assert done.stderr == f"error: cannot load signature: not a regular file: {pipe}\n"
+
+    def test_missing_signature_keeps_the_os_error(self, capsys, tmp_path):
+        absent = tmp_path / "absent.txt"
+        code, _, err = run_cli(capsys, "scan", "--dir", str(tmp_path), "--signature", str(absent))
+        assert code == 1
+        assert err.startswith("error: cannot load signature: [Errno 2]")
 
 
 class TestStats:
