@@ -241,7 +241,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--signature",
         default="builtin",
-        help='"builtin" for the PRNG signature, or a signature text file',
+        help='"builtin" for the PRNG signature, or a signature text file '
+        "(use ./builtin for a file of that name)",
     )
     p.add_argument("--format", choices=["json"], default="json")
     p.set_defaults(func=_cmd_scan)

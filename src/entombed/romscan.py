@@ -13,8 +13,10 @@ tied to a specific dump without distributing it.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import os
+import re
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 
@@ -144,28 +146,46 @@ class ScanHit:
         )
 
 
+@functools.lru_cache()
+def _scan_plan(elements: Tuple[Element, ...]):
+    """Anchor index and bytes (the first longest fixed run), verifier, slot first indices."""
+    start = length = run = 0
+    parts: List[bytes] = []
+    firsts: Dict[str, int] = {}
+    for i, el in enumerate(elements):
+        run = run + 1 if isinstance(el, int) else 0
+        if run > length:
+            start, length = i - run + 1, run
+        if isinstance(el, int):
+            parts.append(re.escape(bytes((el,))))
+        elif el in firsts:
+            parts.append(b"(?P=g%d)" % firsts[el])
+        else:  # generated group names: a slot name need not be a valid one
+            parts.append(b"(?P<g%d>.)" % i)
+            firsts[el] = i
+    pattern = re.compile(b"".join(parts), re.DOTALL)
+    return start, bytes(elements[start : start + length]), pattern, tuple(firsts.items())
+
+
 def scan_bytes(buf: bytes, sig: SignatureTemplate, source: str = "<bytes>") -> List[ScanHit]:
     """Every offset where the signature matches, in ascending order.
 
-    Overlapping matches are all reported. Candidate offsets are anchored
-    on the signature's first fixed byte; this is a pure speedup, the
-    result is identical to trying every offset.
+    Overlapping matches are all reported. Candidate offsets come from
+    ``bytes.find`` on the signature's longest run of fixed bytes (``a9 00
+    65`` in the PRNG signature), not on its first byte: ``0xA5`` (LDA zp)
+    is one of the most common bytes in 6502 code. Each candidate is
+    verified with a pattern compiled once per template; the result is
+    identical to trying :meth:`SignatureTemplate.match_at` at every offset.
     """
     hits: List[ScanHit] = []
-    window = len(sig.elements)
-    if window > len(buf):
-        return hits
-    anchor_index = next(i for i, el in enumerate(sig.elements) if isinstance(el, int))
-    anchor_byte = sig.elements[anchor_index]
-    pos = buf.find(anchor_byte, anchor_index)
+    anchor_index, anchor, pattern, firsts = _scan_plan(tuple(sig.elements))
+    pos = buf.find(anchor, anchor_index)
     while pos != -1:
         offset = pos - anchor_index
-        if offset + window > len(buf):
-            break
-        bindings = sig.match_at(buf, offset)
-        if bindings is not None:
+        if pattern.match(buf, offset):
+            bindings = {name: buf[offset + i] for name, i in firsts}
             hits.append(ScanHit(source=source, offset=offset, bindings=bindings))
-        pos = buf.find(anchor_byte, pos + 1)
+        pos = buf.find(anchor, pos + 1)
     return hits
 
 

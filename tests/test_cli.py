@@ -239,6 +239,28 @@ class TestScan:
         results = parse_envelope(out)["results"]
         assert [(h["offset"], h["bindings"]) for h in results["hits"]] == [(0, {"a": 0x55})]
 
+    def test_a_signature_file_named_builtin_loads_as_dot_slash(self, capsys, tmp_path, monkeypatch):
+        (tmp_path / "builtin").write_text("01 ?a 02")
+        (tmp_path / "data.bin").write_bytes(bytes([0x01, 0x55, 0x02]))
+        monkeypatch.chdir(tmp_path)
+        code, out, _ = run_cli(capsys, "scan", "--file", "data.bin", "--signature", "./builtin")
+        envelope = parse_envelope(out)
+        assert code == 0 and envelope["parameters"]["signature"] == "./builtin"
+        assert envelope["results"]["signature_length"] == 3
+        assert [(h["offset"], h["bindings"]) for h in envelope["results"]["hits"]] == [
+            (0, {"a": 0x55})
+        ]
+        code, out, _ = run_cli(capsys, "scan", "--file", "data.bin", "--signature", "builtin")
+        envelope = parse_envelope(out)
+        assert code == 0 and envelope["parameters"]["signature"] == "builtin"
+        assert envelope["results"]["signature_length"] == len(romscan.prng_signature())
+        assert envelope["results"]["hits"] == []
+
+    def test_signature_help_names_the_dot_slash_escape(self, capsys):
+        with pytest.raises(SystemExit):
+            cli.main(["scan", "--help"])
+        assert "use ./builtin for a file of that name" in " ".join(capsys.readouterr().out.split())
+
     @pytest.mark.parametrize(
         "text", ["not hex tokens!", "+1 ?w a5"], ids=["not-hex", "signed-byte"]
     )

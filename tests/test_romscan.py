@@ -2,9 +2,11 @@
 
 import os
 import random
+import re
 
 import pytest
 
+from entombed import romscan
 from entombed.romscan import (
     ScanHit,
     SignatureTemplate,
@@ -147,6 +149,48 @@ class TestScanBytes:
             got = [(h.offset, h.bindings) for h in scan_bytes(buf, sig)]
             assert got == brute_force_scan(buf, sig)
 
+    @pytest.mark.parametrize(
+        "elements, buf",
+        [
+            # slot-only stretch before the anchor, so the anchor index is above 0
+            (("1", "a-b", 0x2E, 0x5C, "1"), bytes([0x0A, 0x5C, 0x2E, 0x5C, 0x0A, 0x2E, 0x5C] * 3)),
+            # the only fixed byte is the last element
+            (("\u00fc", "g0", "\u00fc", 0x0A), bytes([0x2E, 0x0A, 0x2E, 0x0A, 0x0A, 0x0A, 0x0A])),
+            # tied longest runs: the first one anchors, hits need both
+            (
+                (0x01, "a", 0x0A, 0x2E, "a", 0x5C, 0x01),
+                bytes([0x01, 0x0A, 0x0A, 0x2E, 0x0A, 0x5C, 0x01] * 2),
+            ),
+            # anchor occurrences overlap: 01 01 in 01 01 01 ...
+            ((0x01, 0x01, "g0", "1"), bytes([0x01] * 9)),
+            # bindings keys in first-appearance order, not sorted
+            (("z", 0x5C, "a", "m", "z"), bytes([0x2E, 0x5C, 0x0A, 0x01, 0x2E, 0x5C])),
+        ],
+        ids=["slots-first", "fixed-only-last", "tied-runs", "overlapping-anchor", "key-order"],
+    )
+    def test_edge_templates_match_brute_force(self, elements, buf):
+        sig = SignatureTemplate(elements)
+        got = [(h.offset, list(h.bindings.items())) for h in scan_bytes(buf, sig)]
+        want = [(offset, list(b.items())) for offset, b in brute_force_scan(buf, sig)]
+        assert got == want and want
+
+    def test_random_templates_match_brute_force(self):
+        rng = random.Random(106)
+        # regex metacharacters (\n . \\) as fixed bytes and as slot values
+        alphabet = [0x01, 0x0A, 0x2E, 0x5C]
+        names = ["1", "a-b", "\u00fc", "g0"]
+        hits = 0
+        for _ in range(2000):
+            elements = [rng.choice(alphabet + names) for _ in range(rng.randrange(1, 8))]
+            elements[rng.randrange(len(elements))] = rng.choice(alphabet)
+            sig = SignatureTemplate(tuple(elements))
+            buf = bytes(rng.choice(alphabet) for _ in range(rng.randrange(48)))
+            got = [(h.offset, list(h.bindings.items())) for h in scan_bytes(buf, sig)]
+            want = [(offset, list(b.items())) for offset, b in brute_force_scan(buf, sig)]
+            assert got == want, sig.to_text()
+            hits += len(want)
+        assert hits > 1000
+
     def test_hits_reverify_against_the_buffer(self):
         rng = random.Random(105)
         sig = prng_signature()
@@ -168,6 +212,34 @@ class TestScanBytes:
             buf = noise[:offset] + sig.instantiate(bindings) + noise[offset + 37 :]
             hits = scan_bytes(buf, sig)
             assert (offset, bindings) in [(h.offset, h.bindings) for h in hits]
+
+
+class TestScanPlan:
+    @pytest.mark.parametrize("include_rts", [True, False])
+    def test_prng_signature_anchors_on_a9_00_65(self, include_rts):
+        elements = prng_signature(include_rts=include_rts).elements
+        anchor_index, anchor, _, _ = romscan._scan_plan(elements)
+        assert (anchor_index, anchor) == (19, bytes([0xA9, 0x00, 0x65]))
+
+    def test_tied_runs_anchor_on_the_first(self):
+        anchor_index, anchor, _, _ = romscan._scan_plan(("a", 0x01, 0x02, "b", 0x03, 0x04))
+        assert (anchor_index, anchor) == (1, bytes([0x01, 0x02]))
+
+    def test_pattern_is_compiled_once_per_template(self, tmp_path, monkeypatch):
+        compiled = []
+        compile_ = re.compile
+
+        def counting_compile(*args):
+            compiled.append(args)
+            return compile_(*args)
+
+        monkeypatch.setattr(re, "compile", counting_compile)
+        romscan._scan_plan.cache_clear()
+        for i in range(4):
+            (tmp_path / f"rom{i}.bin").write_bytes(bytes([0xA9, 0x00, 0x65] * 40))
+        report = scan_corpus(sorted(str(p) for p in tmp_path.iterdir()), prng_signature())
+        assert report.files_scanned == 4
+        assert len(compiled) == 1
 
 
 class TestScanHitAnnotations:
