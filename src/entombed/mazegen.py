@@ -27,9 +27,10 @@ mid-row decision) so a run can be recorded and replayed bit for bit.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, List, Mapping, Optional, Protocol, Sequence, Tuple
+from types import MappingProxyType
+from typing import Callable, Dict, List, Mapping, Optional, Protocol, Sequence, Tuple
 
 from .prng import _check_word, buggy_step
 
@@ -79,15 +80,24 @@ _DEFAULT_RULES: Dict[Tuple[int, int], CellRule] = {
 
 @dataclass(frozen=True)
 class MysteryTable:
-    """The 32-entry map from 5-bit wall context to a cell rule."""
+    """The 32-entry map from 5-bit wall context to a cell rule.
+
+    ``entries`` is kept as a read-only view of a copy, so the table cannot
+    change after it was validated. ``_flat`` holds the same rules as a
+    tuple indexed by context ``(last_two << 3) | three_above``.
+    """
 
     entries: Mapping[Tuple[int, int], CellRule]
+    _flat: Tuple[CellRule, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if set(self.entries) != _DEFAULT_RULES.keys():
+        entries = MappingProxyType(dict(self.entries))
+        if set(entries) != _DEFAULT_RULES.keys():
             raise ValueError("table must map exactly the 32 (2-bit, 3-bit) contexts")
-        if any(not isinstance(v, CellRule) for v in self.entries.values()):
+        if any(not isinstance(v, CellRule) for v in entries.values()):
             raise ValueError("table values must be CellRule members")
+        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "_flat", tuple(entries[i >> 3, i & 0b111] for i in range(32)))
 
     def rule(self, last_two: int, three_above: int) -> CellRule:
         return self.entries[(last_two, three_above)]
@@ -173,7 +183,7 @@ class ConstantBitSource:
     """Always the same bit; handy for deterministic fixtures."""
 
     def __init__(self, bit: int = 0):
-        if bit not in (0, 1):
+        if type(bit) is not int or bit not in (0, 1):
             raise ValueError(f"bit must be 0 or 1, got {bit!r}")
         self.bit = bit
 
@@ -201,6 +211,48 @@ def records_from_traces(traces: Sequence[RowTrace]) -> List[Tuple[DrawKind, int]
     return out
 
 
+# Module aliases: the row loop reads a global instead of an enum attribute.
+_RANDOM, _WALL = CellRule.RANDOM, CellRule.WALL
+_LEFT, _RIGHT, _MID = DrawKind.LEFT, DrawKind.RIGHT, DrawKind.MID
+
+
+class _RuleCalls:
+    """Any other table object, indexed by context: one ``rule`` call per lookup."""
+
+    def __init__(self, table) -> None:
+        self.rule = table.rule
+
+    def __getitem__(self, context: int) -> CellRule:
+        return self.rule(context >> 3, context & 0b111)
+
+
+def _rules(table: MysteryTable) -> Sequence[CellRule]:
+    """Rules by context: an exact :class:`MysteryTable` answers from its flat
+    tuple, a subclass or stand-in through ``rule`` for every cell."""
+    return table._flat if type(table) is MysteryTable else _RuleCalls(table)
+
+
+def _next_row(
+    above: int, draw: Callable[[DrawKind], int], rules: Sequence[CellRule]
+) -> Tuple[int, RowTrace]:
+    """The row body shared by :func:`generate_row` and :func:`generate_maze`."""
+    left = draw(_LEFT)
+    right = draw(_RIGHT)
+    padded = (left << 9) | (above << 1) | right
+    row = 0b10  # the seeded last two bits; each generated bit shifts in below
+    mids: List[int] = []
+    for shift in (7, 6, 5, 4, 3, 2, 1, 0):
+        rule = rules[((row & 0b11) << 3) | ((padded >> shift) & 0b111)]
+        if rule is _RANDOM:
+            bit = draw(_MID)
+            mids.append(bit)
+            row = (row << 1) | bit
+        else:
+            row = (row << 1) | (rule is _WALL)
+    row &= 0xFF
+    return row, RowTrace(left, right, mids, row)
+
+
 def generate_row(
     history: Sequence[int], source: RandomBitSource, table: MysteryTable
 ) -> Tuple[int, RowTrace]:
@@ -211,24 +263,7 @@ def generate_row(
     """
     if not history:
         raise ValueError("history must contain at least one row")
-    left = source.draw(DrawKind.LEFT)
-    right = source.draw(DrawKind.RIGHT)
-    padded = (left << 9) | ((history[-1] & 0xFF) << 1) | right
-    last_two = 0b10
-    row = 0
-    mids: List[int] = []
-    for i in range(7, -1, -1):
-        rule = table.rule(last_two, (padded >> i) & 0b111)
-        if rule is CellRule.RANDOM:
-            bit = source.draw(DrawKind.MID)
-            mids.append(bit)
-        elif rule is CellRule.WALL:
-            bit = 1
-        else:
-            bit = 0
-        row = (row << 1) | bit
-        last_two = ((last_two << 1) | bit) & 0b11
-    return row, RowTrace(left_bit=left, right_bit=right, mid_bits=mids, row_before_postprocess=row)
+    return _next_row(history[-1] & 0xFF, source.draw, _rules(table))
 
 
 def postprocess(history: Sequence[int]) -> Tuple[List[int], Optional[PostprocessRule]]:
@@ -262,17 +297,48 @@ def generate_maze(
     Returns the rows as the game would keep them (after postprocessing)
     together with one trace per row. Output is a pure function of the
     source's bit stream, the row count and the table.
+
+    The rules of :func:`postprocess` run on two counters of consecutive
+    kept rows, ending with the previous one, instead of a rescanned window;
+    the blank first row counts as kept:
+
+    * ``high_run`` counts rows in ``0x10..0x7F`` (the blank row ends a
+      run). Condition 1 fires on a new row in range after 10 of them.
+    * ``low_run`` counts rows with a non-empty low nibble and one bit 0.
+      Condition 2 fires, when condition 1 did not, on a new row with a
+      non-empty low nibble and the previous row's bit 0 after 6 of them,
+      if at least 8 kept rows precede it and the kept row 8 back has that
+      bit 0 too; only that row is read back.
     """
     if rows < 1:
         raise ValueError(f"rows must be >= 1, got {rows!r}")
     if table is None:
         table = default_table()
-    history: List[int] = [0x00]
-    out_rows: List[int] = []
+    rules = _rules(table)
+    draw = source.draw
+    kept = [0x00]
     traces: List[RowTrace] = []
+    above = 0x00
+    high_run = low_run = 0
     for _ in range(rows):
-        row, trace = generate_row(history, source, table)
-        history, trace.postprocess_fired = postprocess(history[-10:] + [row])
-        out_rows.append(history[-1])
+        row, trace = _next_row(above, draw, rules)
+        if 0x10 <= row < 0x80 and high_run >= 10:
+            row = 0
+            trace.postprocess_fired = PostprocessRule.CONDITION1
+        elif (
+            low_run >= 6 and row & 0x0F and len(kept) >= 8
+            and ((row ^ above) | (row ^ kept[-8])) & 1 == 0
+        ):
+            row &= 0xF0
+            trace.postprocess_fired = PostprocessRule.CONDITION2
+        high_run = high_run + 1 if 0x10 <= row < 0x80 else 0
+        if not row & 0x0F:
+            low_run = 0
+        elif (row ^ above) & 1:
+            low_run = 1
+        else:
+            low_run += 1
+        kept.append(row)
         traces.append(trace)
-    return out_rows, traces
+        above = row
+    return kept[1:], traces

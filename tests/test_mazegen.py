@@ -49,6 +49,22 @@ class TestTable:
         with pytest.raises(ValueError):
             MysteryTable(entries)
 
+    def test_entries_are_read_only(self):
+        table = default_table()
+        with pytest.raises(TypeError):
+            table.entries[(0b00, 0b000)] = "wall"
+        with pytest.raises(TypeError):
+            del table.entries[(0b00, 0b000)]
+        with pytest.raises(TypeError):
+            table.entries[(0b100, 0b000)] = CellRule.WALL
+        assert dict(table.entries) == mazegen._DEFAULT_RULES
+
+    def test_entries_are_copied_at_construction(self):
+        entries = dict(mazegen._DEFAULT_RULES)
+        table = MysteryTable(entries)
+        entries[(0b00, 0b000)] = "wall"
+        assert table.rule(0b00, 0b000) is CellRule.WALL
+
     def test_rejects_foreign_keys(self):
         entries = dict(mazegen._DEFAULT_RULES)
         del entries[(0b00, 0b000)]
@@ -253,6 +269,11 @@ class TestSources:
         with pytest.raises(ValueError):
             ConstantBitSource(2)
 
+    @pytest.mark.parametrize("bit", [1.0, 0.0, True, "1"])
+    def test_constant_source_takes_only_the_ints_0_and_1(self, bit):
+        with pytest.raises(ValueError, match="bit must be 0 or 1"):
+            ConstantBitSource(bit)
+
 
 class TestGenerateMaze:
     def test_row_count(self):
@@ -309,3 +330,110 @@ class TestAgainstReference:
             pre, post, leftover = reference_maze(tape, 60)
             assert post == rows
             assert leftover == 0
+
+
+def windowed_maze(source, rows, table):
+    """The loop :func:`generate_maze` replaced, kept as the reference for its
+    run counters: each row rescans the last 11 through :func:`postprocess`."""
+    history, out, traces = [0x00], [], []
+    for _ in range(rows):
+        row, trace = generate_row(history, source, table)
+        history, trace.postprocess_fired = postprocess(history[-10:] + [row])
+        out.append(history[-1])
+        traces.append(trace)
+    return out, traces
+
+
+ALL_WALL = MysteryTable({k: CellRule.WALL for k in mazegen._DEFAULT_RULES})
+ALL_RANDOM = MysteryTable({k: CellRule.RANDOM for k in mazegen._DEFAULT_RULES})
+C1, C2 = PostprocessRule.CONDITION1, PostprocessRule.CONDITION2
+
+
+def random_table_tape(rows):
+    """A tape that makes :data:`ALL_RANDOM` generate exactly ``rows``."""
+    tape = []
+    for row in rows:
+        tape += [(L, 0), (R, 1)] + [(M, (row >> i) & 1) for i in range(7, -1, -1)]
+    return tape
+
+
+class TestRunCounters:
+    """``generate_maze``'s counters against the windowed ``postprocess`` loop."""
+
+    def assert_same(self, make_source, rows, table=None):
+        table = table or default_table()
+        got = generate_maze(make_source(), rows, table)
+        want = windowed_maze(make_source(), rows, table)
+        assert got == want
+        return got[1]
+
+    def fired_at(self, traces):
+        return {i: t.postprocess_fired for i, t in enumerate(traces) if t.postprocess_fired}
+
+    def test_every_model_phase(self):
+        fired = Counter()
+        for phase in range(256):
+            traces = self.assert_same(lambda: ModelBitSource(phase), 60)
+            fired.update(t.postprocess_fired for t in traces)
+        assert fired[C1] and fired[C2]
+
+    def test_seeded_mazes(self):
+        fired = Counter()
+        for seed in range(2000):
+            traces = self.assert_same(lambda: SeededBitSource(seed), 60)
+            fired.update(t.postprocess_fired for t in traces)
+        assert fired[C1] and fired[C2]
+
+    def test_windows_shorter_than_eleven_rows(self):
+        for rows in range(1, 13):
+            for seed in range(40):
+                self.assert_same(lambda: SeededBitSource(seed), rows)
+            self.assert_same(lambda: ConstantBitSource(1), rows, ALL_WALL)
+            self.assert_same(lambda: ReplayBitSource(random_table_tape([0x02] * rows)), rows, ALL_RANDOM)
+
+    def test_condition1_on_exactly_the_eleventh_row_in_range(self):
+        rows = [0x80, 0x20] + [0x70] * 9 + [0x10, 0x40]
+        traces = self.assert_same(lambda: ReplayBitSource(random_table_tape(rows)), len(rows), ALL_RANDOM)
+        assert self.fired_at(traces) == {11: C1}
+
+    def test_condition1_fires_again_after_eleven_more_rows(self):
+        rows = [0x30] * 22
+        traces = self.assert_same(lambda: ReplayBitSource(random_table_tape(rows)), len(rows), ALL_RANDOM)
+        assert self.fired_at(traces) == {10: C1, 21: C1}
+
+    def test_condition2_with_exactly_nine_rows_in_the_window(self):
+        # the blank first row is the comparator, with bit 0 clear
+        traces = self.assert_same(lambda: ReplayBitSource(random_table_tape([0x02] * 8)), 8, ALL_RANDOM)
+        assert self.fired_at(traces) == {7: C2}
+        traces = self.assert_same(lambda: ReplayBitSource(random_table_tape([0x01] * 8)), 8, ALL_RANDOM)
+        assert self.fired_at(traces) == {}
+
+    def test_condition2_ignores_the_row_between_comparator_and_run(self):
+        rows = [0x01, 0x00] + [0x01] * 7
+        traces = self.assert_same(lambda: ReplayBitSource(random_table_tape(rows)), len(rows), ALL_RANDOM)
+        assert self.fired_at(traces) == {8: C2}
+
+    def test_condition2_misses_when_only_the_comparator_differs(self):
+        # row 8 misses on row 0's bit 0; row 9 compares with row 1 and fires
+        rows = [0x02] + [0x01] * 9
+        traces = self.assert_same(lambda: ReplayBitSource(random_table_tape(rows)), len(rows), ALL_RANDOM)
+        assert self.fired_at(traces) == {9: C2}
+
+    def test_all_wall_table(self):
+        tape = [(kind, 1) for _ in range(30) for kind in (L, R)]
+        traces = self.assert_same(lambda: ReplayBitSource(tape), 30, ALL_WALL)
+        assert set(self.fired_at(traces).values()) == {C2}
+
+    def test_a_stand_in_table_is_asked_once_per_cell(self):
+        class Counting:
+            calls = 0
+
+            def rule(self, last_two, three_above):
+                Counting.calls += 1
+                return default_table().rule(last_two, three_above)
+
+        generate_maze(SeededBitSource(3), 60, Counting())
+        assert Counting.calls == 8 * 60
+        Counting.calls = 0
+        generate_row([0x5A], SeededBitSource(3), Counting())
+        assert Counting.calls == 8
