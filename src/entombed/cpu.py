@@ -9,10 +9,12 @@ would actually do, including the carry-flag behaviour responsible for the
 bug. No other flags are modelled; the routine never branches and never
 reads them. Decimal mode is assumed off, as it is in the game.
 
-There is one interpreter loop, over a routine lowered up to its first RTS
-into ``(6502 opcode, operand)`` pairs whose cell operands index a list
-of cells. :func:`execute` lowers against its machine's cells;
-:func:`oracle_prng_step` runs a program lowered once, at import.
+A routine is lowered up to its first RTS into ``(6502 opcode, operand)``
+pairs whose cell operands index a list of cells. :func:`_run`, one
+interpreter loop over those pairs, is the reference: :func:`execute`
+lowers against its machine's cells and runs it. :func:`oracle_prng_step`
+runs the same lowered routine compiled by :func:`_compile` into one
+straight-line Python function per carry mode, built on first use.
 
 The same instruction list doubles as the source for the byte signature
 used by :mod:`entombed.romscan`: assembling the routine with named cell
@@ -25,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from types import MappingProxyType
-from typing import Dict, List, Mapping, Tuple, Union
+from typing import Callable, Dict, List, Mapping, Tuple, Union
 
 Operand = Union[int, str]
 
@@ -175,7 +177,11 @@ def _lower(routine: Routine, cell_index: Dict[int, int]) -> Tuple[Tuple[int, int
 
 
 def _run(program, acc: int, carry: int, cells: List[int], inc_sets_carry: bool) -> Tuple[int, int]:
-    """Interpret a lowered program on ``cells`` in place; return (acc, carry)."""
+    """Interpret a lowered program on ``cells`` in place; return (acc, carry).
+
+    The reference semantics: :func:`_compile` must agree with it on every
+    input, and no test oracle calls the compiled form.
+    """
     for op, arg in program:  # literal opcodes, most frequent in the PRNG routine first
         if op == 0x85:  # STA_ZP
             cells[arg] = acc
@@ -199,6 +205,43 @@ def _run(program, acc: int, carry: int, cells: List[int], inc_sets_carry: bool) 
     return acc, carry
 
 
+# One line of Python per opcode, mirroring the branches of _run; {a} is the
+# operand, a cell index (local c{a}) or LDA_IMM's byte.
+_TEMPLATES = {
+    0x85: "c{a} = acc",
+    0x65: "acc += c{a} + carry; carry, acc = acc >> 8, acc & 0xFF",
+    0xA5: "acc = c{a}",
+    0xA9: "acc = {a}",
+    0x0A: "carry, acc = acc >> 7, (acc << 1) & 0xFF",
+    0x26: "c{a}, carry = ((c{a} << 1) | carry) & 0xFF, c{a} >> 7",
+    0x18: "carry = 0",
+    0xE6: "c{a} = (c{a} + 1) & 0xFF",
+}
+_INC_SETS_CARRY = "carry = int(c{a} == 0)"
+
+
+def _compile(program, inc_sets_carry: bool) -> Callable[..., Tuple[int, ...]]:
+    """Compile a lowered program into ``f(acc, carry, *cells) -> (acc, carry, *cells)``.
+
+    The body is one template line per instruction, with no loop and no
+    dispatch; this is exact because the repertoire never branches. Cells
+    are the locals ``c0`` .. ``c{n-1}``, ``n`` one past the highest cell
+    index used. The source is built only from :func:`_lower`'s validated
+    ints, as :mod:`dataclasses` builds its methods.
+    """
+    n = 1 + max((arg for op, arg in program if arg is not None and op != 0xA9), default=-1)
+    cells = "".join(f"c{i}, " for i in range(n))
+    lines = [f"def run(acc, carry, {cells}):"]
+    for op, arg in program:
+        lines.append("    " + _TEMPLATES[op].format(a=arg))
+        if op == 0xE6 and inc_sets_carry:
+            lines.append("    " + _INC_SETS_CARRY.format(a=arg))
+    lines.append(f"    return acc, carry, {cells}")
+    namespace: dict = {}
+    exec("\n".join(lines), namespace)
+    return namespace["run"]
+
+
 def execute(machine: MicroMachine, routine: Routine, inc_sets_carry: bool = False) -> MicroMachine:
     """Run the routine to its RTS and return the resulting machine.
 
@@ -219,6 +262,7 @@ W_CELL, X_CELL, Y_CELL, Z_CELL = 0xDD, 0xDE, 0xDF, 0xE0
 
 _ORACLE_CELLS = (W_CELL, X_CELL, Y_CELL, Z_CELL)  # cells[0:4] in oracle_prng_step
 _ORACLE_PROGRAM = _lower(prng_routine(*_ORACLE_CELLS), dict(zip(_ORACLE_CELLS, range(4))))
+_ORACLE_RUNS: Dict[bool, Callable] = {}  # by carry mode, compiled on first use
 
 
 def oracle_prng_step(
@@ -228,7 +272,7 @@ def oracle_prng_step(
     initial_acc: int = 0,
     initial_carry: int = 0,
 ) -> int:
-    """Advance the state word by executing the routine on the interpreter.
+    """Advance the state word by executing the routine's compiled program.
 
     The result is independent of the initial accumulator and carry (both
     are overwritten before first use); they are parameters only so that
@@ -237,9 +281,12 @@ def oracle_prng_step(
     if not 0 <= state <= 0xFFFF:
         raise ValueError(f"state must be a 16-bit value, got {state!r}")
     _check_registers(initial_acc, initial_carry)
-    cells = [state >> 8, state & 0xFF, 0, 0]
-    _run(_ORACLE_PROGRAM, initial_acc, initial_carry, cells, inc_sets_carry)
-    return (cells[0] << 8) | cells[1]
+    mode = bool(inc_sets_carry)
+    run = _ORACLE_RUNS.get(mode)
+    if run is None:
+        run = _ORACLE_RUNS[mode] = _compile(_ORACLE_PROGRAM, mode)
+    _, _, w, x, _, _ = run(initial_acc, initial_carry, state >> 8, state & 0xFF, 0, 0)
+    return (w << 8) | x
 
 
 def assemble(routine: Routine) -> List[Operand]:

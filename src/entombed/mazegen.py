@@ -84,11 +84,12 @@ class MysteryTable:
 
     ``entries`` is kept as a read-only view of a copy, so the table cannot
     change after it was validated. ``_flat`` holds the same rules as a
-    tuple indexed by context ``(last_two << 3) | three_above``.
+    tuple indexed by context ``(last_two << 3) | three_above``; the table
+    hashes on it, so equal tables hash equal.
     """
 
-    entries: Mapping[Tuple[int, int], CellRule]
-    _flat: Tuple[CellRule, ...] = field(init=False, repr=False, compare=False)
+    entries: Mapping[Tuple[int, int], CellRule] = field(hash=False)
+    _flat: Tuple[CellRule, ...] = field(init=False, repr=False, compare=False, hash=True)
 
     def __post_init__(self) -> None:
         entries = MappingProxyType(dict(self.entries))
@@ -143,13 +144,18 @@ class ReplayBitSource:
     """Replays a recorded (kind, bit) tape, enforcing kind agreement.
 
     Raises :class:`TraceDesyncError` when a draw's kind differs from the
-    recording and :class:`BitUnderflowError` when the tape runs out.
-    ``remaining`` exposes the leftover count so a consumer can confirm a
-    replayed run used every recorded bit.
+    recording and :class:`BitUnderflowError` when the tape runs out; a
+    record that is not a ``(DrawKind, 0 or 1)`` pair raises ValueError at
+    construction, and the checked tape is kept as a tuple so it cannot
+    change afterwards. ``remaining`` exposes the leftover count so a
+    consumer can confirm a replayed run used every recorded bit.
     """
 
     def __init__(self, records: Sequence[Tuple[DrawKind, int]]):
-        self.records = list(records)
+        self.records = tuple(records)
+        for i, (kind, bit) in enumerate(self.records):
+            if not isinstance(kind, DrawKind) or type(bit) is not int or bit not in (0, 1):
+                raise ValueError(f"record {i} must be a (DrawKind, 0 or 1) pair, got {(kind, bit)!r}")
         self.position = 0
 
     @property

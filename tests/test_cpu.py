@@ -1,7 +1,11 @@
 """Tests for the mini interpreter, the routine builder and the assembler."""
 
 import dataclasses
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -188,6 +192,49 @@ class TestOracleStep:
                         cpu.oracle_prng_step(s, False, initial_acc=acc, initial_carry=carry)
                         == reference
                     )
+
+    def test_any_truthy_value_selects_the_carry_fix(self):
+        for s in random.Random(1).sample(range(0x10000), 512):
+            assert cpu.oracle_prng_step(s, 1) == cpu.oracle_prng_step(s, True)
+            assert cpu.oracle_prng_step(s, 0) == cpu.oracle_prng_step(s, False)
+
+
+class TestCompiledAgainstRun:
+    """``_compile``'s straight-line function against the reference ``_run`` loop."""
+
+    @pytest.mark.parametrize("inc_sets_carry", [False, True])
+    @pytest.mark.parametrize("acc, carry", [(0x00, 0), (0xFF, 1)])
+    def test_oracle_program_on_every_state(self, inc_sets_carry, acc, carry):
+        program = cpu._ORACLE_PROGRAM
+        compiled = cpu._compile(program, inc_sets_carry)
+        for s in range(0x10000):
+            cells = [s >> 8, s & 0xFF, 0, 0]
+            expected = cpu._run(program, acc, carry, cells, inc_sets_carry)
+            assert compiled(acc, carry, s >> 8, s & 0xFF, 0, 0) == (*expected, *cells)
+
+    @pytest.mark.parametrize("inc_sets_carry", [False, True])
+    @pytest.mark.parametrize("mnemonic", [m for m in Mnemonic if m is not Mnemonic.RTS])
+    def test_each_instruction_form_at_byte_edges(self, mnemonic, inc_sets_carry):
+        # the operand is cell 1, so an index mix-up with cell 0 shows
+        operand = 0x5A if mnemonic is Mnemonic.LDA_IMM else None if mnemonic in cpu.IMPLIED else 1
+        n_cells = 2 if operand == 1 else 0
+        program = ((mnemonic.value, operand),)
+        compiled = cpu._compile(program, inc_sets_carry)
+        edges = (0x00, 0x01, 0x7F, 0x80, 0xFE, 0xFF)
+        for acc in edges:
+            for carry in (0, 1):
+                for value in edges:
+                    cells = [0x33, value][:n_cells]
+                    got = compiled(acc, carry, *cells)
+                    expected = cpu._run(program, acc, carry, cells, inc_sets_carry)
+                    assert got == (*expected, *cells)
+
+    def test_nothing_is_compiled_at_import(self):
+        src = str(Path(cpu.__file__).resolve().parents[1])
+        code = "import entombed.cli, entombed.cpu as c; print(len(c._ORACLE_RUNS))"
+        env = {**os.environ, "PYTHONPATH": src}
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=20, env=env)
+        assert out.stdout == "0\n", out.stderr
 
 
 # Cell layouts other than the game's own 0xDD-0xE0: consecutive low cells,

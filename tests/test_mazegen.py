@@ -72,6 +72,15 @@ class TestTable:
         with pytest.raises(ValueError):
             MysteryTable(entries)
 
+    def test_equal_tables_hash_equal(self):
+        a, b = default_table(), MysteryTable(dict(mazegen._DEFAULT_RULES))
+        assert a == b and hash(a) == hash(b)
+        assert {a: "game"}[b] == "game"
+        assert len({a, b}) == 1
+        other = dict(mazegen._DEFAULT_RULES)
+        other[(0b00, 0b000)] = CellRule.OPEN
+        assert len({a, MysteryTable(other)}) == 2
+
 
 class TestGenerateRow:
     def test_blank_row_no_pad_bits(self):
@@ -252,6 +261,25 @@ class TestSources:
         source.draw(L)
         with pytest.raises(TraceDesyncError):
             source.draw(R)
+
+    @pytest.mark.parametrize("bit", [2, -1, True, 1.0, "1", None])
+    def test_replay_takes_only_the_ints_0_and_1(self, bit):
+        tape = [(L, 0), (R, 1), (M, 0), (M, bit)] + [(M, 0)] * 6
+        with pytest.raises(ValueError, match="record 3 "):
+            ReplayBitSource(tape)
+
+    @pytest.mark.parametrize("kind", ["left", None, 0])
+    def test_replay_takes_only_draw_kinds(self, kind):
+        with pytest.raises(ValueError, match="record 1 "):
+            ReplayBitSource([(L, 0), (kind, 1)])
+
+    def test_replay_tape_cannot_change_after_the_check(self):
+        tape = [(L, 0)]
+        source = ReplayBitSource(tape)
+        tape.append((R, 2))
+        assert source.remaining == 1
+        with pytest.raises(AttributeError):
+            source.records.append((R, 2))
 
     def test_model_source_is_deterministic(self):
         a = ModelBitSource(0x1234)
