@@ -10,11 +10,12 @@ bug. No other flags are modelled; the routine never branches and never
 reads them. Decimal mode is assumed off, as it is in the game.
 
 A routine is lowered up to its first RTS into ``(6502 opcode, operand)``
-pairs whose cell operands index a list of cells. :func:`_run`, one
-interpreter loop over those pairs, is the reference: :func:`execute`
-lowers against its machine's cells and runs it. :func:`oracle_prng_step`
-runs the same lowered routine compiled by :func:`_compile` into one
-straight-line Python function per carry mode, built on first use.
+pairs whose cell operands index a list of cells, then compiled by
+:func:`_compile` into one straight-line Python function per lowered
+program and carry mode. :func:`execute` lowers against its machine's
+cells and runs the compiled function, kept in a bounded cache;
+:func:`oracle_prng_step` runs the game's routine, lowered once at import
+and compiled on first use per carry mode.
 
 The same instruction list doubles as the source for the byte signature
 used by :mod:`entombed.romscan`: assembling the routine with named cell
@@ -26,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import lru_cache
 from types import MappingProxyType
 from typing import Callable, Dict, List, Mapping, Tuple, Union
 
@@ -68,10 +70,14 @@ class Instr:
         else:
             if self.operand is None:
                 raise ValueError(f"{self.mnemonic.name} requires an operand")
-            if isinstance(self.operand, int) and not 0 <= self.operand <= 0xFF:
-                raise ValueError(f"operand out of byte range: {self.operand!r}")
-            if isinstance(self.operand, str) and not self.operand:
-                raise ValueError("slot name must be non-empty")
+            if isinstance(self.operand, int):
+                if not 0 <= self.operand <= 0xFF:
+                    raise ValueError(f"operand out of byte range: {self.operand!r}")
+            elif isinstance(self.operand, str):
+                if not self.operand:
+                    raise ValueError("slot name must be non-empty")
+            else:
+                raise ValueError(f"operand must be int or str, got {self.operand!r}")
 
 
 @dataclass(frozen=True)
@@ -111,9 +117,16 @@ class MicroMachine:
     mem: Mapping[int, int] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        for name, value in (("acc", self.acc), ("carry", self.carry)):
+            if not isinstance(value, int):
+                raise ValueError(f"{name} must be an int, got {value!r}")
         _check_registers(self.acc, self.carry)
         mem = MappingProxyType(dict(self.mem))
         for addr, value in mem.items():
+            if not isinstance(addr, int):
+                raise ValueError(f"cell address must be an int, got {addr!r}")
+            if not isinstance(value, int):
+                raise ValueError(f"cell {addr!r} value must be an int, got {value!r}")
             if not 0 <= addr <= 0xFF or not 0 <= value <= 0xFF:
                 raise ValueError(f"cell {addr!r}={value!r} out of byte range")
         object.__setattr__(self, "mem", mem)
@@ -155,7 +168,7 @@ def prng_routine(w: Operand, x: Operand, y: Operand, z: Operand) -> Routine:
 
 
 def _lower(routine: Routine, cell_index: Dict[int, int]) -> Tuple[Tuple[int, int], ...]:
-    """Lower a concrete routine into the ``(opcode, operand)`` pairs :func:`_run` takes.
+    """Lower a concrete routine into the ``(opcode, operand)`` pairs :func:`_compile` takes.
 
     The opcode is the mnemonic's 6502 opcode. LDA_IMM keeps its
     byte; any other operand becomes its index in ``cell_index``, or faults
@@ -176,37 +189,8 @@ def _lower(routine: Routine, cell_index: Dict[int, int]) -> Tuple[Tuple[int, int
     return tuple(program)
 
 
-def _run(program, acc: int, carry: int, cells: List[int], inc_sets_carry: bool) -> Tuple[int, int]:
-    """Interpret a lowered program on ``cells`` in place; return (acc, carry).
-
-    The reference semantics: :func:`_compile` must agree with it on every
-    input, and no test oracle calls the compiled form.
-    """
-    for op, arg in program:  # literal opcodes, most frequent in the PRNG routine first
-        if op == 0x85:  # STA_ZP
-            cells[arg] = acc
-        elif op == 0x65:  # ADC_ZP
-            acc += cells[arg] + carry
-            carry, acc = acc >> 8, acc & 0xFF
-        elif op == 0xA5:  # LDA_ZP
-            acc = cells[arg]
-        elif op == 0xA9:  # LDA_IMM
-            acc = arg
-        elif op == 0x0A:  # ASL_A
-            carry, acc = acc >> 7, (acc << 1) & 0xFF
-        elif op == 0x26:  # ROL_ZP
-            cells[arg], carry = ((cells[arg] << 1) | carry) & 0xFF, cells[arg] >> 7
-        elif op == 0x18:  # CLC
-            carry = 0
-        else:  # 0xE6, INC_ZP
-            cells[arg] = (cells[arg] + 1) & 0xFF
-            if inc_sets_carry:
-                carry = int(cells[arg] == 0)
-    return acc, carry
-
-
-# One line of Python per opcode, mirroring the branches of _run; {a} is the
-# operand, a cell index (local c{a}) or LDA_IMM's byte.
+# One line of Python per opcode; {a} is the operand, a cell index (local
+# c{a}) or LDA_IMM's byte.
 _TEMPLATES = {
     0x85: "c{a} = acc",
     0x65: "acc += c{a} + carry; carry, acc = acc >> 8, acc & 0xFF",
@@ -220,17 +204,23 @@ _TEMPLATES = {
 _INC_SETS_CARRY = "carry = int(c{a} == 0)"
 
 
+def _cell_count(program) -> int:
+    """One past the highest cell index a lowered program uses."""
+    return 1 + max((arg for op, arg in program if arg is not None and op != 0xA9), default=-1)
+
+
+@lru_cache(maxsize=64)
 def _compile(program, inc_sets_carry: bool) -> Callable[..., Tuple[int, ...]]:
     """Compile a lowered program into ``f(acc, carry, *cells) -> (acc, carry, *cells)``.
 
     The body is one template line per instruction, with no loop and no
     dispatch; this is exact because the repertoire never branches. Cells
-    are the locals ``c0`` .. ``c{n-1}``, ``n`` one past the highest cell
-    index used. The source is built only from :func:`_lower`'s validated
-    ints, as :mod:`dataclasses` builds its methods.
+    are the locals ``c0`` .. ``c{n-1}``, ``n`` being :func:`_cell_count`.
+    The source is built only from :func:`_lower`'s validated ints, as
+    :mod:`dataclasses` builds its methods. Compiled functions are cached
+    by ``(program, inc_sets_carry)``.
     """
-    n = 1 + max((arg for op, arg in program if arg is not None and op != 0xA9), default=-1)
-    cells = "".join(f"c{i}, " for i in range(n))
+    cells = "".join(f"c{i}, " for i in range(_cell_count(program)))
     lines = [f"def run(acc, carry, {cells}):"]
     for op, arg in program:
         lines.append("    " + _TEMPLATES[op].format(a=arg))
@@ -252,9 +242,10 @@ def execute(machine: MicroMachine, routine: Routine, inc_sets_carry: bool = Fals
     if not routine.is_concrete:
         raise ValueError("cannot execute a template routine with unresolved slots")
     program = _lower(routine, {addr: i for i, addr in enumerate(machine.mem)})
-    cells = list(machine.mem.values())
-    acc, carry = _run(program, machine.acc, machine.carry, cells, inc_sets_carry)
-    return MicroMachine(acc=acc, carry=carry, mem=dict(zip(machine.mem, cells)))
+    cells = list(machine.mem.values())[:_cell_count(program)]
+    run = _compile(program, bool(inc_sets_carry))
+    acc, carry, *cells = run(machine.acc, machine.carry, *cells)
+    return MicroMachine(acc=acc, carry=carry, mem={**machine.mem, **dict(zip(machine.mem, cells))})
 
 
 # The game's own cell assignments; any four mapped cells give the same result.
@@ -303,27 +294,3 @@ def assemble(routine: Routine) -> List[Operand]:
             out.append(ins.operand)
     return out
 
-
-def disassemble(elements: List[Operand]) -> Routine:
-    """Decode :func:`assemble` output back into a routine.
-
-    Raises ValueError on unknown opcodes, a wildcard in an opcode
-    position, or a truncated instruction.
-    """
-    instrs: List[Instr] = []
-    pos = 0
-    while pos < len(elements):
-        opcode = elements[pos]
-        try:  # ints only: Mnemonic(165.0) would give LDA_ZP
-            mnemonic = Mnemonic(opcode if isinstance(opcode, int) else None)
-        except ValueError:
-            raise ValueError(f"not an opcode at position {pos}: {opcode!r}") from None
-        pos += 1
-        if mnemonic in IMPLIED:
-            instrs.append(Instr(mnemonic))
-        else:
-            if pos >= len(elements):
-                raise ValueError(f"{mnemonic.name} missing its operand at end of input")
-            instrs.append(Instr(mnemonic, elements[pos]))
-            pos += 1
-    return Routine(tuple(instrs))

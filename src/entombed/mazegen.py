@@ -222,26 +222,10 @@ _RANDOM, _WALL = CellRule.RANDOM, CellRule.WALL
 _LEFT, _RIGHT, _MID = DrawKind.LEFT, DrawKind.RIGHT, DrawKind.MID
 
 
-class _RuleCalls:
-    """Any other table object, indexed by context: one ``rule`` call per lookup."""
-
-    def __init__(self, table) -> None:
-        self.rule = table.rule
-
-    def __getitem__(self, context: int) -> CellRule:
-        return self.rule(context >> 3, context & 0b111)
-
-
-def _rules(table: MysteryTable) -> Sequence[CellRule]:
-    """Rules by context: an exact :class:`MysteryTable` answers from its flat
-    tuple, a subclass or stand-in through ``rule`` for every cell."""
-    return table._flat if type(table) is MysteryTable else _RuleCalls(table)
-
-
 def _next_row(
     above: int, draw: Callable[[DrawKind], int], rules: Sequence[CellRule]
 ) -> Tuple[int, RowTrace]:
-    """The row body shared by :func:`generate_row` and :func:`generate_maze`."""
+    """One row of :func:`generate_maze` from the kept row ``above``: (row, trace)."""
     left = draw(_LEFT)
     right = draw(_RIGHT)
     padded = (left << 9) | (above << 1) | right
@@ -259,40 +243,6 @@ def _next_row(
     return row, RowTrace(left, right, mids, row)
 
 
-def generate_row(
-    history: Sequence[int], source: RandomBitSource, table: MysteryTable
-) -> Tuple[int, RowTrace]:
-    """Produce the next 8-bit row from the newest row in ``history``.
-
-    Bit 7 of the result is the leftmost generated cell (the one beside the
-    fixed side wall), bit 0 the centremost. 1 is wall, 0 is open.
-    """
-    if not history:
-        raise ValueError("history must contain at least one row")
-    return _next_row(history[-1] & 0xFF, source.draw, _rules(table))
-
-
-def postprocess(history: Sequence[int]) -> Tuple[List[int], Optional[PostprocessRule]]:
-    """Apply the two pattern-breaking rules to the newest row.
-
-    Expects the newest row already appended and the history trimmed to at
-    most 11 rows; returns a new list. Condition 1: every row has a non-empty
-    high nibble with bit 7 clear (``0x10 <= r < 0x80``), and the newest row
-    is zeroed. Condition 2: of at least nine rows, the newest seven all have
-    a non-empty low nibble and bit 0 equal to that of the ninth-last row,
-    and the newest row's low nibble is cleared. Condition 1 empties the
-    low-nibble window, so condition 2 can never fire on top of it.
-    """
-    rows = list(history)
-    if all(0x10 <= r < 0x80 for r in rows):
-        rows[-1] = 0
-        return rows, PostprocessRule.CONDITION1
-    if len(rows) >= 9 and all(r & 0x0F and r & 1 == rows[-9] & 1 for r in rows[-7:]):
-        rows[-1] &= 0xF0
-        return rows, PostprocessRule.CONDITION2
-    return rows, None
-
-
 def generate_maze(
     source: RandomBitSource,
     rows: int = 60,
@@ -302,11 +252,13 @@ def generate_maze(
 
     Returns the rows as the game would keep them (after postprocessing)
     together with one trace per row. Output is a pure function of the
-    source's bit stream, the row count and the table.
+    source's bit stream, the row count and the table. Bit 7 of a row is
+    the leftmost generated cell (the one beside the fixed side wall), bit
+    0 the centremost; 1 is wall, 0 is open.
 
-    The rules of :func:`postprocess` run on two counters of consecutive
-    kept rows, ending with the previous one, instead of a rescanned window;
-    the blank first row counts as kept:
+    The two pattern-breaking rules run on two counters of consecutive kept
+    rows, ending with the previous one, instead of a rescanned 11-row
+    window; the blank first row counts as kept:
 
     * ``high_run`` counts rows in ``0x10..0x7F`` (the blank row ends a
       run). Condition 1 fires on a new row in range after 10 of them.
@@ -320,7 +272,7 @@ def generate_maze(
         raise ValueError(f"rows must be >= 1, got {rows!r}")
     if table is None:
         table = default_table()
-    rules = _rules(table)
+    rules = table._flat
     draw = source.draw
     kept = [0x00]
     traces: List[RowTrace] = []

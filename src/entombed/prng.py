@@ -123,32 +123,6 @@ class OrbitStats:
         return self.distinct_values - (0 if self.returns_to_seed else 1)
 
 
-def orbit_survey(seed: int, steps: int, step: Callable[[int], int] = buggy_step) -> OrbitStats:
-    """Walk ``steps`` applications of ``step`` from ``seed`` and size the orbit.
-
-    The walk stops early at the first revisited value: the map is
-    deterministic, so no new values can appear after that and whether the
-    seed recurs is already decided. The reported numbers are exactly those
-    of the full walk.
-    """
-    _check_word(seed, "seed")
-    if steps < 1:
-        raise ValueError(f"steps must be >= 1, got {steps!r}")
-    seen = {seed}
-    value = seed
-    for i in range(1, steps + 1):
-        value = step(value)
-        if value in seen:
-            return OrbitStats(
-                seed=seed,
-                steps=steps,
-                distinct_values=i,
-                returns_to_seed=value == seed,
-            )
-        seen.add(value)
-    return OrbitStats(seed=seed, steps=steps, distinct_values=len(seen), returns_to_seed=False)
-
-
 # Labels a state carries in the tail table while the decomposition runs.
 _UNSEEN = -1
 _ON_PATH = -2
@@ -229,17 +203,17 @@ def canonical_seed_survey(
 ) -> List[OrbitStats]:
     """Size the orbit of each of the 256 canonical seeds after ``steps`` steps.
 
-    Gives exactly what :func:`orbit_survey` gives for each seed, read off
-    one :func:`rho_decomposition` of ``step`` (O(65536), whatever
-    ``steps`` is) instead of 256 walks. A seed with tail ``t`` and cycle
+    Gives exactly what walking ``steps`` applications of ``step`` from each
+    seed gives, read off one :func:`rho_decomposition` of ``step``
+    (O(65536), whatever ``steps`` is) instead of 256 walks. A seed with tail ``t`` and cycle
     ``c`` revisits a value first at step ``t + c``: if ``steps`` reaches
     it, the orbit has ``t + c`` distinct values and returns to the seed
     exactly when ``t == 0``; otherwise it has ``steps + 1`` distinct
     values and has not returned. For :func:`correct_step` every seed comes
     back after 65536 steps, as Hull-Dobell predicts (see its docstring).
     """
-    if steps < 1:
-        raise ValueError(f"steps must be >= 1, got {steps!r}")
+    if not isinstance(steps, int) or steps < 1:
+        raise ValueError(f"steps must be an int >= 1, got {steps!r}")
     rho = rho_decomposition(step)
     surveys = []
     for b in range(256):

