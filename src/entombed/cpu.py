@@ -97,6 +97,10 @@ class Routine:
 
 
 def _check_registers(acc: int, carry: int) -> None:
+    if not isinstance(acc, int):
+        raise ValueError(f"acc must be an int, got {acc!r}")
+    if not isinstance(carry, int):
+        raise ValueError(f"carry must be an int, got {carry!r}")
     if not 0 <= acc <= 0xFF:
         raise ValueError(f"acc out of byte range: {acc!r}")
     if carry not in (0, 1):
@@ -117,9 +121,6 @@ class MicroMachine:
     mem: Mapping[int, int] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        for name, value in (("acc", self.acc), ("carry", self.carry)):
-            if not isinstance(value, int):
-                raise ValueError(f"{name} must be an int, got {value!r}")
         _check_registers(self.acc, self.carry)
         mem = MappingProxyType(dict(self.mem))
         for addr, value in mem.items():
@@ -269,7 +270,7 @@ def oracle_prng_step(
     are overwritten before first use); they are parameters only so that
     independence can be demonstrated.
     """
-    if not 0 <= state <= 0xFFFF:
+    if not isinstance(state, int) or not 0 <= state <= 0xFFFF:
         raise ValueError(f"state must be a 16-bit value, got {state!r}")
     _check_registers(initial_acc, initial_carry)
     mode = bool(inc_sets_carry)

@@ -3,7 +3,7 @@
 On screen each generated bit is doubled, a four-bit wall is glued to the
 left, and the whole half is mirrored across the centre, so one 8-bit row
 becomes 40 columns with fixed walls at both edges. The analyses here work
-on that expanded grid.
+on the 8-bit rows; the 40-column form is derived only when it is read.
 
 "Solvable" is an analytic proxy, not a game rule: the real game scrolls
 continuously and has no fixed entrance, so we ask whether any open cell
@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from collections import Counter, deque
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .mazegen import (
@@ -37,9 +38,8 @@ def _screen_row(row: int) -> Tuple[int, ...]:
 
 
 # The screen format, stated once: the 256 possible screen rows, indexed by
-# the 8-bit row. Rendering, parsing and Grid validation all derive from it.
+# the 8-bit row. Rendering, parsing and Grid.cells all derive from it.
 SCREEN_ROWS: Tuple[Tuple[int, ...], ...] = tuple(_screen_row(row) for row in range(0x100))
-_ROW_BY_CELLS: Dict[Tuple[int, ...], int] = {cells: row for row, cells in enumerate(SCREEN_ROWS)}
 _SCREEN_TEXT: Tuple[str, ...] = tuple(
     " ".join("".join("_X"[c] for c in half) for half in (cells[:20], cells[20:]))
     for cells in SCREEN_ROWS
@@ -48,7 +48,7 @@ _ROW_BY_TEXT = {text: row for row, text in enumerate(_SCREEN_TEXT)}
 
 
 def _check_row(row: int) -> int:
-    if not 0 <= row <= 0xFF:
+    if not isinstance(row, int) or not 0 <= row <= 0xFF:
         raise ValueError(f"row must be an 8-bit value, got {row!r}")
     return row
 
@@ -73,48 +73,31 @@ def parse_row(line: str) -> int:
 
 @dataclass(frozen=True)
 class Grid:
-    """A frozen wall matrix with the screen's structure baked in.
+    """A frozen maze: the 8-bit rows generate_maze returns; ``cells`` is derived on first read."""
 
-    Every row of ``cells`` must be one of the 256 :data:`SCREEN_ROWS` as a
-    tuple, which fixes its width, side walls, mirror symmetry and bit
-    doubling. The lookup that validates a row also records its 8-bit row in
-    ``rows``, which the solver floods; neither can change afterwards. Build
-    one from 8-bit rows with :meth:`from_rows`.
-    """
-
-    cells: Tuple[Tuple[int, ...], ...]
-    rows: Tuple[int, ...] = field(init=False)
+    rows: Tuple[int, ...]
+    width = GRID_WIDTH
 
     def __post_init__(self) -> None:
-        cells = tuple(self.cells)
-        if not cells:
+        rows = tuple(self.rows)
+        if not rows:
             raise ValueError("grid must have at least one row")
-        rows = []
-        for r, row in enumerate(cells):
-            try:
-                rows.append(_ROW_BY_CELLS[row])
-            except (KeyError, TypeError):  # TypeError: unhashable, e.g. a list row
-                raise ValueError(f"grid row {r} is not one of the 256 screen rows") from None
-        object.__setattr__(self, "cells", cells)
-        object.__setattr__(self, "rows", tuple(rows))
+        for r, row in enumerate(rows):
+            if not isinstance(row, int) or not 0 <= row <= 0xFF:
+                raise ValueError(f"grid row {r} must be an 8-bit int, got {row!r}")
+        object.__setattr__(self, "rows", rows)
 
     @classmethod
     def from_rows(cls, rows: Sequence[int]) -> "Grid":
-        return cls([expand_row(r) for r in rows])
+        return cls(rows)
 
-    @property
-    def width(self) -> int:
-        return GRID_WIDTH
+    @cached_property
+    def cells(self) -> Tuple[Tuple[int, ...], ...]:
+        return tuple(SCREEN_ROWS[row] for row in self.rows)
 
     @property
     def height(self) -> int:
-        return len(self.cells)
-
-
-@dataclass
-class SolvabilityReport:
-    solvable: bool
-    witness_path: Optional[List[Tuple[int, int]]] = None
+        return len(self.rows)
 
 
 def _spread(reach: int, opens: int) -> int:
@@ -148,40 +131,55 @@ def _reaches_bottom(rows: Sequence[int]) -> bool:
     return reach[last] != 0
 
 
-def is_solvable(grid: Grid) -> SolvabilityReport:
-    """Whether an open top-row cell reaches the bottom row, with a witness.
+@dataclass(frozen=True)
+class SolvabilityReport:
+    """Whether an open top-row cell of ``grid`` reaches its bottom row.
 
-    Movement is between 4-neighbour open cells. The verdict comes from a
-    bitset flood fill over the 8-bit rows; only a solvable grid pays for the
-    breadth-first search that builds one witness path, top to bottom.
+    ``solvable`` is computed from ``grid.rows`` at construction, so it cannot
+    disagree with the grid; ``witness_path`` is searched on first read.
     """
-    if not _reaches_bottom(grid.rows):
-        return SolvabilityReport(solvable=False)
-    # Every row mirrors across the centre, so reflecting a path's right-half
-    # cells gives a left-half path between the same rows: search columns 0-19.
-    height, width = grid.height, GRID_WIDTH // 2
-    cells = grid.cells
-    parents: Dict[Tuple[int, int], Optional[Tuple[int, int]]] = {}
-    queue: deque = deque()
-    for c in range(width):
-        if cells[0][c] == 0:
-            parents[(0, c)] = None
-            queue.append((0, c))
-    while True:  # the flood fill found a path, so the bottom row is reached
-        r, c = queue.popleft()
-        if r == height - 1:
-            path = []
-            node: Optional[Tuple[int, int]] = (r, c)
-            while node is not None:
-                path.append(node)
-                node = parents[node]
-            path.reverse()
-            return SolvabilityReport(solvable=True, witness_path=path)
-        for nr, nc in ((r + 1, c), (r - 1, c), (r, c + 1), (r, c - 1)):
-            if 0 <= nr < height and 0 <= nc < width and cells[nr][nc] == 0:
-                if (nr, nc) not in parents:
-                    parents[(nr, nc)] = (r, c)
-                    queue.append((nr, nc))
+
+    grid: Grid
+    solvable: bool = field(init=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "solvable", _reaches_bottom(self.grid.rows))
+
+    @cached_property
+    def witness_path(self) -> Optional[List[Tuple[int, int]]]:
+        """One top-to-bottom path of open screen cells, or None if unsolvable."""
+        if not self.solvable:
+            return None
+        # Every row mirrors across the centre, so reflecting a path's right-half
+        # cells gives a left-half path between the same rows: search columns 0-19.
+        height, width = self.grid.height, GRID_WIDTH // 2
+        cells = self.grid.cells
+        parents: Dict[Tuple[int, int], Optional[Tuple[int, int]]] = {}
+        queue: deque = deque()
+        for c in range(width):
+            if cells[0][c] == 0:
+                parents[(0, c)] = None
+                queue.append((0, c))
+        while True:  # the flood fill found a path, so the bottom row is reached
+            r, c = queue.popleft()
+            if r == height - 1:
+                path = []
+                node: Optional[Tuple[int, int]] = (r, c)
+                while node is not None:
+                    path.append(node)
+                    node = parents[node]
+                path.reverse()
+                return path
+            for nr, nc in ((r + 1, c), (r - 1, c), (r, c + 1), (r, c - 1)):
+                if 0 <= nr < height and 0 <= nc < width and cells[nr][nc] == 0:
+                    if (nr, nc) not in parents:
+                        parents[(nr, nc)] = (r, c)
+                        queue.append((nr, nc))
+
+
+def is_solvable(grid: Grid) -> SolvabilityReport:
+    """Whether 4-neighbour moves lead from the top row to the bottom: a flood fill over rows."""
+    return SolvabilityReport(grid)
 
 
 @dataclass

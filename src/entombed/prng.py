@@ -31,7 +31,7 @@ WORD_COUNT = 0x10000
 
 
 def _check_word(value: int, name: str = "state") -> None:
-    if not 0 <= value <= 0xFFFF:
+    if not isinstance(value, int) or not 0 <= value <= 0xFFFF:
         raise ValueError(f"{name} must be a 16-bit value, got {value!r}")
 
 
@@ -72,7 +72,7 @@ def buggy_step(state: int) -> int:
 
 def canonical_seed(b: int) -> int:
     """Build a seed the way the game does: one byte duplicated into both halves."""
-    if not 0 <= b <= 0xFF:
+    if not isinstance(b, int) or not 0 <= b <= 0xFF:
         raise ValueError(f"seed byte must be in [0, 255], got {b!r}")
     return (b << 8) | b
 

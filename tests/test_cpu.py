@@ -308,17 +308,17 @@ class TestExecuteOnOtherCells:
 
 
 class TestOracleStepRangeChecks:
-    @pytest.mark.parametrize("acc", [-1, 0x100])
+    @pytest.mark.parametrize("acc", [-1, 0x100, 1.5, "1"])
     def test_initial_acc_out_of_byte_range(self, acc):
         with pytest.raises(ValueError):
             cpu.oracle_prng_step(0x1234, initial_acc=acc)
 
-    @pytest.mark.parametrize("carry", [-1, 2])
+    @pytest.mark.parametrize("carry", [-1, 2, 1.5, "1"])
     def test_initial_carry_not_a_bit(self, carry):
         with pytest.raises(ValueError):
             cpu.oracle_prng_step(0x1234, initial_carry=carry)
 
-    @pytest.mark.parametrize("state", [-1, 0x10000])
+    @pytest.mark.parametrize("state", [-1, 0x10000, 1.5, "1"])
     def test_state_out_of_word_range(self, state):
         with pytest.raises(ValueError):
             cpu.oracle_prng_step(state)

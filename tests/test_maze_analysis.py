@@ -6,6 +6,7 @@ import random
 import pytest
 
 from entombed.maze_analysis import (
+    SCREEN_ROWS,
     Grid,
     PatternStats,
     derived_seed,
@@ -51,8 +52,9 @@ class TestExpandRow:
             assert all(cells[2 * j + 4] == cells[2 * j + 5] for j in range(8))
 
     def test_range_check(self):
-        with pytest.raises(ValueError):
-            expand_row(0x100)
+        for bad in (0x100, -1, 1.5, "1"):
+            with pytest.raises(ValueError):
+                expand_row(bad)
 
 
 class TestRenderRow:
@@ -94,41 +96,47 @@ class TestGrid:
         assert grid.width == 40
         assert grid.height == 2
 
-    def test_rejects_structural_violations(self):
-        cells = [list(expand_row(0x00))]
-        cells[0][5] = 1  # break the doubled pair (4,5)
-        with pytest.raises(ValueError):
-            Grid([tuple(cells[0])])
-
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             Grid([])
 
+    @pytest.mark.parametrize(
+        "bad",
+        [0x100, -1, 1.0, "1", None, expand_row(0x5A)],
+        ids=["0x100", "-1", "1.0", "str", "None", "screen-row"],
+    )
+    def test_rejects_a_row_that_is_not_an_8_bit_int(self, bad):
+        with pytest.raises(ValueError, match="grid row 1 "):
+            Grid.from_rows([0x00, bad])
+
+    def test_rejects_structural_violations(self):
+        cells = list(expand_row(0x00))
+        cells[5] = 1  # break the doubled pair (4,5)
+        with pytest.raises(ValueError, match="grid row 0 "):
+            Grid([tuple(cells)])
+
     def test_accepts_every_screen_row(self):
-        assert Grid([expand_row(row) for row in range(0x100)]).height == 256
+        grid = Grid(range(256))
+        assert grid.height == 256
+        assert grid.cells == SCREEN_ROWS
+        assert grid.cells is grid.cells  # the oracle reads cells[r][c] cell by cell
 
     def test_rejects_every_single_cell_flip(self):
+        # No 40-cell row one flip away from a screen row is itself a screen
+        # row, so no Grid's cells can hold one, and none is accepted as a row.
+        screen_rows = set(SCREEN_ROWS)
         for row in range(0x100):
             cells = expand_row(row)
             for i in range(40):
+                flipped = cells[:i] + (1 - cells[i],) + cells[i + 1 :]
+                assert flipped not in screen_rows
                 with pytest.raises(ValueError):
-                    Grid([cells[:i] + (1 - cells[i],) + cells[i + 1 :]])
-
-    def test_rejects_rows_of_the_wrong_type_width_or_values(self):
-        cells = expand_row(0x5A)
-        bad_rows = [
-            list(cells),
-            cells[:39],
-            cells + (1,),
-            cells[:10] + (2,) + cells[11:],
-            cells[:10] + ([1],) + cells[11:],
-        ]
-        for bad in bad_rows:
-            with pytest.raises(ValueError):
-                Grid([expand_row(0x00), bad])
+                    Grid([flipped])
 
     def test_rows_are_the_rows_each_screen_row_stands_for(self):
-        assert Grid([expand_row(r) for r in range(256)]).rows == tuple(range(256))
+        grid = Grid(range(256))
+        assert grid.rows == tuple(range(256))
+        assert all(grid.cells[row] == expand_row(row) for row in grid.rows)
         assert Grid.from_rows([0x12, 0xFF, 0x00]).rows == (0x12, 0xFF, 0x00)
 
     def test_cannot_be_changed_after_construction(self):
@@ -144,11 +152,11 @@ class TestGrid:
         assert g.rows == (0, 0)
         assert is_solvable(g).solvable
 
-    def test_stores_list_cells_as_a_tuple(self):
-        cells = [expand_row(0x00), expand_row(0x5A)]
-        grid = Grid(cells)
-        cells[0] = (0,) * 40
-        assert grid.cells == (expand_row(0x00), expand_row(0x5A))
+    def test_stores_list_rows_as_a_tuple(self):
+        rows = [0x00, 0x5A]
+        grid = Grid(rows)
+        rows[0] = 0xFF
+        assert grid.rows == (0x00, 0x5A)
         assert grid == Grid.from_rows([0x00, 0x5A])
 
 
@@ -225,6 +233,23 @@ class TestSolvability:
             ]
             grid = Grid.from_rows(rows)
             assert is_solvable(grid).solvable == union_find_solvable(grid)
+
+    def test_verdict_never_reads_the_screen_cells(self):
+        class RowsOnly(Grid):
+            @property
+            def cells(self):
+                raise AssertionError("the verdict read grid.cells")
+
+        solvable = is_solvable(RowsOnly.from_rows([0x00] * 60))
+        assert solvable.solvable
+        unsolvable = is_solvable(RowsOnly.from_rows([0x00] * 5 + [0xFF]))
+        assert not unsolvable.solvable
+        assert unsolvable.witness_path is None
+
+    def test_witness_is_searched_once_and_kept(self):
+        report = is_solvable(Grid.from_rows([0x81, 0x00, 0x3C]))
+        assert report.witness_path is report.witness_path
+        assert report.witness_path[-1][0] == 2
 
     def test_single_row_grid(self):
         assert is_solvable(Grid.from_rows([0x00])).solvable

@@ -289,8 +289,9 @@ class TestSources:
         assert set(bits_a) == {0, 1}
 
     def test_model_source_seed_range(self):
-        with pytest.raises(ValueError):
-            ModelBitSource(0x10000)
+        for bad in (0x10000, -1, 1.5, "1"):
+            with pytest.raises(ValueError):
+                ModelBitSource(bad)
 
     def test_constant_source_bit_validation(self):
         with pytest.raises(ValueError):

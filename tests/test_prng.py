@@ -31,17 +31,15 @@ def test_canonical_seed():
 
 @pytest.mark.parametrize("func", [prng.correct_step, prng.buggy_step])
 def test_step_rejects_out_of_range(func):
-    with pytest.raises(ValueError):
-        func(-1)
-    with pytest.raises(ValueError):
-        func(0x10000)
+    for bad in (-1, 0x10000, 1.5, "1"):
+        with pytest.raises(ValueError):
+            func(bad)
 
 
 def test_canonical_seed_rejects_out_of_range():
-    with pytest.raises(ValueError):
-        prng.canonical_seed(256)
-    with pytest.raises(ValueError):
-        prng.canonical_seed(-1)
+    for bad in (256, -1, 1.5, "1"):
+        with pytest.raises(ValueError):
+            prng.canonical_seed(bad)
 
 
 def test_low_bytes_always_agree_exhaustive():
