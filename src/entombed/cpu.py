@@ -9,13 +9,12 @@ would actually do, including the carry-flag behaviour responsible for the
 bug. No other flags are modelled; the routine never branches and never
 reads them. Decimal mode is assumed off, as it is in the game.
 
-A routine is lowered up to its first RTS into ``(6502 opcode, operand)``
-pairs whose cell operands index a list of cells, then compiled by
-:func:`_compile` into one straight-line Python function per lowered
-program and carry mode. :func:`execute` lowers against its machine's
-cells and runs the compiled function, kept in a bounded cache;
-:func:`oracle_prng_step` runs the game's routine, lowered once at import
-and compiled on first use per carry mode.
+A concrete routine is compiled by :func:`_compile`, up to its first RTS,
+into one straight-line Python function per routine and carry mode, whose
+locals are the zero-page cells it touches, named by address.
+:func:`execute` runs that function, kept in a bounded cache, on its
+machine's cells; :func:`oracle_prng_step` runs the game's routine,
+compiled on first use per carry mode.
 
 The same instruction list doubles as the source for the byte signature
 used by :mod:`entombed.romscan`: assembling the routine with named cell
@@ -28,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
+from operator import index
 from types import MappingProxyType
 from typing import Callable, Dict, List, Mapping, Tuple, Union
 
@@ -71,6 +71,8 @@ class Instr:
             if self.operand is None:
                 raise ValueError(f"{self.mnemonic.name} requires an operand")
             if isinstance(self.operand, int):
+                # a plain int, so no subclass's formatting reaches _compile's source
+                object.__setattr__(self, "operand", index(self.operand))
                 if not 0 <= self.operand <= 0xFF:
                     raise ValueError(f"operand out of byte range: {self.operand!r}")
             elif isinstance(self.operand, str):
@@ -168,69 +170,51 @@ def prng_routine(w: Operand, x: Operand, y: Operand, z: Operand) -> Routine:
     )
 
 
-def _lower(routine: Routine, cell_index: Dict[int, int]) -> Tuple[Tuple[int, int], ...]:
-    """Lower a concrete routine into the ``(opcode, operand)`` pairs :func:`_compile` takes.
-
-    The opcode is the mnemonic's 6502 opcode. LDA_IMM keeps its
-    byte; any other operand becomes its index in ``cell_index``, or faults
-    if unmapped. The code never branches and runs on a copy, so this looks
-    the same as faulting just before the instruction. Nothing after the
-    first RTS is lowered or checked.
-    """
-    program = []
-    for ins in routine.instrs:
-        if ins.mnemonic is Mnemonic.RTS:
-            break
-        operand = ins.operand
-        if operand is not None and ins.mnemonic is not Mnemonic.LDA_IMM:
-            if operand not in cell_index:
-                raise UnmappedCellError(f"unmapped cell ${operand:02x}")
-            operand = cell_index[operand]
-        program.append((ins.mnemonic.value, operand))
-    return tuple(program)
-
-
-# One line of Python per opcode; {a} is the operand, a cell index (local
-# c{a}) or LDA_IMM's byte.
+# One line of Python per instruction form; {a} is the operand, a cell
+# address (local m{a}) or LDA_IMM's byte.
 _TEMPLATES = {
-    0x85: "c{a} = acc",
-    0x65: "acc += c{a} + carry; carry, acc = acc >> 8, acc & 0xFF",
-    0xA5: "acc = c{a}",
-    0xA9: "acc = {a}",
-    0x0A: "carry, acc = acc >> 7, (acc << 1) & 0xFF",
-    0x26: "c{a}, carry = ((c{a} << 1) | carry) & 0xFF, c{a} >> 7",
-    0x18: "carry = 0",
-    0xE6: "c{a} = (c{a} + 1) & 0xFF",
+    Mnemonic.STA_ZP: "m{a} = acc",
+    Mnemonic.ADC_ZP: "acc += m{a} + carry; carry, acc = acc >> 8, acc & 0xFF",
+    Mnemonic.LDA_ZP: "acc = m{a}",
+    Mnemonic.LDA_IMM: "acc = {a}",
+    Mnemonic.ASL_A: "carry, acc = acc >> 7, (acc << 1) & 0xFF",
+    Mnemonic.ROL_ZP: "m{a}, carry = ((m{a} << 1) | carry) & 0xFF, m{a} >> 7",
+    Mnemonic.CLC: "carry = 0",
+    Mnemonic.INC_ZP: "m{a} = (m{a} + 1) & 0xFF",
 }
-_INC_SETS_CARRY = "carry = int(c{a} == 0)"
-
-
-def _cell_count(program) -> int:
-    """One past the highest cell index a lowered program uses."""
-    return 1 + max((arg for op, arg in program if arg is not None and op != 0xA9), default=-1)
+_INC_SETS_CARRY = "carry = int(m{a} == 0)"
 
 
 @lru_cache(maxsize=64)
-def _compile(program, inc_sets_carry: bool) -> Callable[..., Tuple[int, ...]]:
-    """Compile a lowered program into ``f(acc, carry, *cells) -> (acc, carry, *cells)``.
+def _compile(routine: Routine, inc_sets_carry: bool) -> Tuple[Callable, Tuple[int, ...]]:
+    """Compile a concrete routine, up to its first RTS, into ``(run, cells)``.
 
-    The body is one template line per instruction, with no loop and no
-    dispatch; this is exact because the repertoire never branches. Cells
-    are the locals ``c0`` .. ``c{n-1}``, ``n`` being :func:`_cell_count`.
-    The source is built only from :func:`_lower`'s validated ints, as
-    :mod:`dataclasses` builds its methods. Compiled functions are cached
-    by ``(program, inc_sets_carry)``.
+    ``cells`` are the addresses the code touches, in first-use order, and
+    ``run(acc, carry, *values) -> (acc, carry, *values)`` takes and returns
+    their values in that order, as the locals ``m{addr}``. The body is one
+    template line per instruction, with no loop and no dispatch; this is
+    exact because the repertoire never branches. A template routine is
+    refused here, so the source holds only :class:`Instr`'s plain,
+    range-checked ints, as :mod:`dataclasses` builds its methods. Nothing
+    after the first RTS is compiled.
     """
-    cells = "".join(f"c{i}, " for i in range(_cell_count(program)))
-    lines = [f"def run(acc, carry, {cells}):"]
-    for op, arg in program:
-        lines.append("    " + _TEMPLATES[op].format(a=arg))
-        if op == 0xE6 and inc_sets_carry:
-            lines.append("    " + _INC_SETS_CARRY.format(a=arg))
-    lines.append(f"    return acc, carry, {cells}")
+    if not routine.is_concrete:
+        raise ValueError("cannot execute a template routine with unresolved slots")
+    cells: Dict[int, None] = {}  # insertion-ordered set
+    body = []
+    for ins in routine.instrs:
+        if ins.mnemonic is Mnemonic.RTS:
+            break
+        if ins.operand is not None and ins.mnemonic is not Mnemonic.LDA_IMM:
+            cells[ins.operand] = None
+        body.append(_TEMPLATES[ins.mnemonic].format(a=ins.operand))
+        if ins.mnemonic is Mnemonic.INC_ZP and inc_sets_carry:
+            body.append(_INC_SETS_CARRY.format(a=ins.operand))
+    values = "".join(f"m{addr}, " for addr in cells)
+    lines = [f"def run(acc, carry, {values}):", *body, f"return acc, carry, {values}"]
     namespace: dict = {}
-    exec("\n".join(lines), namespace)
-    return namespace["run"]
+    exec("\n    ".join(lines), namespace)
+    return namespace["run"], tuple(cells)
 
 
 def execute(machine: MicroMachine, routine: Routine, inc_sets_carry: bool = False) -> MicroMachine:
@@ -238,22 +222,24 @@ def execute(machine: MicroMachine, routine: Routine, inc_sets_carry: bool = Fals
 
     ``inc_sets_carry`` selects the increment's carry behaviour: False is
     the real 6502 (INC leaves carry untouched), True is the counterfactual
-    fix where INC sets carry exactly when the cell wraps to zero.
+    fix where INC sets carry exactly when the cell wraps to zero. A cell
+    the routine touches but the machine does not map faults before
+    anything runs; the code never branches and runs on a copy, so this
+    looks the same as faulting just before the instruction.
     """
-    if not routine.is_concrete:
-        raise ValueError("cannot execute a template routine with unresolved slots")
-    program = _lower(routine, {addr: i for i, addr in enumerate(machine.mem)})
-    cells = list(machine.mem.values())[:_cell_count(program)]
-    run = _compile(program, bool(inc_sets_carry))
-    acc, carry, *cells = run(machine.acc, machine.carry, *cells)
-    return MicroMachine(acc=acc, carry=carry, mem={**machine.mem, **dict(zip(machine.mem, cells))})
+    run, cells = _compile(routine, bool(inc_sets_carry))
+    mem = machine.mem
+    for addr in cells:
+        if addr not in mem:
+            raise UnmappedCellError(f"unmapped cell ${addr:02x}")
+    acc, carry, *values = run(machine.acc, machine.carry, *[mem[addr] for addr in cells])
+    return MicroMachine(acc=acc, carry=carry, mem={**mem, **dict(zip(cells, values))})
 
 
 # The game's own cell assignments; any four mapped cells give the same result.
 W_CELL, X_CELL, Y_CELL, Z_CELL = 0xDD, 0xDE, 0xDF, 0xE0
 
-_ORACLE_CELLS = (W_CELL, X_CELL, Y_CELL, Z_CELL)  # cells[0:4] in oracle_prng_step
-_ORACLE_PROGRAM = _lower(prng_routine(*_ORACLE_CELLS), dict(zip(_ORACLE_CELLS, range(4))))
+_ORACLE_ROUTINE = prng_routine(W_CELL, X_CELL, Y_CELL, Z_CELL)  # touches W, Y, X, Z in that order
 _ORACLE_RUNS: Dict[bool, Callable] = {}  # by carry mode, compiled on first use
 
 
@@ -264,7 +250,7 @@ def oracle_prng_step(
     initial_acc: int = 0,
     initial_carry: int = 0,
 ) -> int:
-    """Advance the state word by executing the routine's compiled program.
+    """Advance the state word by executing the game's compiled routine.
 
     The result is independent of the initial accumulator and carry (both
     are overwritten before first use); they are parameters only so that
@@ -276,8 +262,8 @@ def oracle_prng_step(
     mode = bool(inc_sets_carry)
     run = _ORACLE_RUNS.get(mode)
     if run is None:
-        run = _ORACLE_RUNS[mode] = _compile(_ORACLE_PROGRAM, mode)
-    _, _, w, x, _, _ = run(initial_acc, initial_carry, state >> 8, state & 0xFF, 0, 0)
+        run = _ORACLE_RUNS[mode] = _compile(_ORACLE_ROUTINE, mode)[0]
+    _, _, w, _, x, _ = run(initial_acc, initial_carry, state >> 8, 0, state & 0xFF, 0)
     return (w << 8) | x
 
 

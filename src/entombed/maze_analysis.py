@@ -27,7 +27,7 @@ from .mazegen import (
     default_table,
     generate_maze,
 )
-from .prng import buggy_step
+from .prng import _check_word, buggy_step
 
 GRID_WIDTH = 40
 
@@ -195,6 +195,7 @@ class PatternStats:
 
 def derived_seed(seed: int, index: int) -> int:
     """Per-maze source seed: base seed plus maze index, through the PRNG."""
+    _check_word(seed, "seed")
     return buggy_step((seed + index) & 0xFFFF)
 
 
@@ -218,8 +219,8 @@ def maze_survey(
     condition 1 fires, condition 2 fires and verdict by that count: at most
     256 mazes, and O(256) work, for any ``n_mazes``.
     """
-    if n_mazes < 1:
-        raise ValueError(f"n_mazes must be >= 1, got {n_mazes!r}")
+    if not isinstance(n_mazes, int) or n_mazes < 1:
+        raise ValueError(f"n_mazes must be an int >= 1, got {n_mazes!r}")
     if table is None:
         table = default_table()
     condition1 = condition2 = unsolvable = 0
@@ -242,8 +243,8 @@ def maze_survey(
 
 
 def table_stats(table: MysteryTable) -> Dict[str, int]:
-    """Count the rule variants across the 32 table entries."""
+    """Count the rule variants across the table's 32 rules."""
     counts = {rule.value: 0 for rule in CellRule}
-    for rule in table.entries.values():
+    for rule in table.rules:
         counts[rule.value] += 1
     return counts

@@ -27,10 +27,9 @@ mid-row decision) so a run can be recorded and replayed bit for bit.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from types import MappingProxyType
-from typing import Callable, Dict, List, Mapping, Optional, Protocol, Sequence, Tuple
+from typing import Callable, List, Optional, Protocol, Sequence, Tuple
 
 from .prng import _check_word, buggy_step
 
@@ -72,41 +71,36 @@ class TraceDesyncError(Exception):
 # W wall, O open, R random; 11 wall, 13 open, 8 random.
 _TABLE_SYMBOLS = "WWWROORR" "WWWWROOO" "WWWROOOO" "ROWRROOO"
 _SYMBOL_RULES = {"W": CellRule.WALL, "O": CellRule.OPEN, "R": CellRule.RANDOM}
-_DEFAULT_RULES: Dict[Tuple[int, int], CellRule] = {
-    (index >> 3, index & 0b111): _SYMBOL_RULES[symbol]
-    for index, symbol in enumerate(_TABLE_SYMBOLS)
-}
 
 
 @dataclass(frozen=True)
 class MysteryTable:
     """The 32-entry map from 5-bit wall context to a cell rule.
 
-    ``entries`` is kept as a read-only view of a copy, so the table cannot
-    change after it was validated. ``_flat`` holds the same rules as a
-    tuple indexed by context ``(last_two << 3) | three_above``; the table
-    hashes on it, so equal tables hash equal.
+    ``rules`` holds one :class:`CellRule` per context, in context order
+    ``(last_two << 3) | three_above``. It is copied into a tuple and
+    checked at construction, so the table cannot change afterwards, and
+    equal tables hash equal.
     """
 
-    entries: Mapping[Tuple[int, int], CellRule] = field(hash=False)
-    _flat: Tuple[CellRule, ...] = field(init=False, repr=False, compare=False, hash=True)
+    rules: Tuple[CellRule, ...]
 
     def __post_init__(self) -> None:
-        entries = MappingProxyType(dict(self.entries))
-        if set(entries) != _DEFAULT_RULES.keys():
-            raise ValueError("table must map exactly the 32 (2-bit, 3-bit) contexts")
-        if any(not isinstance(v, CellRule) for v in entries.values()):
-            raise ValueError("table values must be CellRule members")
-        object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "_flat", tuple(entries[i >> 3, i & 0b111] for i in range(32)))
+        rules = tuple(self.rules)
+        if len(rules) != 32 or not all(isinstance(rule, CellRule) for rule in rules):
+            raise ValueError("table must hold 32 CellRule members, one per context")
+        object.__setattr__(self, "rules", rules)
 
     def rule(self, last_two: int, three_above: int) -> CellRule:
-        return self.entries[(last_two, three_above)]
+        if not (isinstance(last_two, int) and isinstance(three_above, int)
+                and 0 <= last_two <= 0b11 and 0 <= three_above <= 0b111):
+            raise ValueError(f"no table context ({last_two!r}, {three_above!r})")
+        return self.rules[(last_two << 3) | three_above]
 
 
 def default_table() -> MysteryTable:
     """The table exactly as the game ships it."""
-    return MysteryTable(dict(_DEFAULT_RULES))
+    return MysteryTable(tuple(_SYMBOL_RULES[symbol] for symbol in _TABLE_SYMBOLS))
 
 
 class RandomBitSource(Protocol):
@@ -268,11 +262,11 @@ def generate_maze(
       if at least 8 kept rows precede it and the kept row 8 back has that
       bit 0 too; only that row is read back.
     """
-    if rows < 1:
-        raise ValueError(f"rows must be >= 1, got {rows!r}")
+    if not isinstance(rows, int) or rows < 1:
+        raise ValueError(f"rows must be an int >= 1, got {rows!r}")
     if table is None:
         table = default_table()
-    rules = table._flat
+    rules = table.rules
     draw = source.draw
     kept = [0x00]
     traces: List[RowTrace] = []

@@ -21,7 +21,7 @@ def generate_row(
     """
     if not history:
         raise ValueError("history must contain at least one row")
-    return _next_row(history[-1] & 0xFF, source.draw, table._flat)
+    return _next_row(history[-1] & 0xFF, source.draw, table.rules)
 
 
 def postprocess(history: Sequence[int]) -> Tuple[List[int], Optional[PostprocessRule]]:

@@ -157,6 +157,24 @@ class TestInstrValidation:
         with pytest.raises(ValueError, match="operand must be int or str"):
             Instr(Mnemonic.LDA_IMM, operand)
 
+    def test_an_int_subclass_operand_is_kept_as_a_plain_int(self):
+        # its __format__ must not reach the source _compile runs
+        class Hostile(int):
+            def __format__(self, spec):
+                return "0\n    carry = 'injected'"
+
+        instrs = [Instr(Mnemonic.LDA_IMM, Hostile(5)), Instr(Mnemonic.STA_ZP, Hostile(0x10))]
+        assert [type(i.operand) for i in instrs] == [int, int]
+        out = run_one(instrs, carry=1, mem={0x10: 0})
+        assert (out.acc, out.carry, dict(out.mem)) == (5, 1, {0x10: 5})
+
+    def test_a_bool_operand_becomes_an_int(self):
+        instr = Instr(Mnemonic.LDA_IMM, True)
+        assert type(instr.operand) is int and instr == Instr(Mnemonic.LDA_IMM, 1)
+        out = run_one([instr, Instr(Mnemonic.STA_ZP, 0x10)], mem={0x10: 0})
+        assert (type(out.acc), type(out.mem[0x10])) == (int, int)
+        assert (out.acc, out.mem[0x10]) == (1, 1)
+
     def test_routine_must_end_in_rts(self):
         with pytest.raises(ValueError):
             Routine((Instr(Mnemonic.CLC),))
@@ -229,31 +247,60 @@ class TestCompiledAgainstRun:
     """``_compile``'s straight-line function against the reference ``_run`` loop."""
 
     @pytest.mark.parametrize("inc_sets_carry", [False, True])
+    def test_oracle_routine_touches_w_y_x_z_in_that_order(self, inc_sets_carry):
+        cells = cpu._compile(cpu._ORACLE_ROUTINE, inc_sets_carry)[1]
+        assert cells == (cpu.W_CELL, cpu.Y_CELL, cpu.X_CELL, cpu.Z_CELL)
+
+    @pytest.mark.parametrize("inc_sets_carry", [False, True])
     @pytest.mark.parametrize("acc, carry", [(0x00, 0), (0xFF, 1)])
     def test_oracle_program_on_every_state(self, inc_sets_carry, acc, carry):
-        program = cpu._ORACLE_PROGRAM
-        compiled = cpu._compile(program, inc_sets_carry)
+        routine = cpu._ORACLE_ROUTINE
+        compiled, cells = cpu._compile(routine, inc_sets_carry)
         for s in range(0x10000):
-            cells = [s >> 8, s & 0xFF, 0, 0]
-            expected = _run(program, acc, carry, cells, inc_sets_carry)
-            assert compiled(acc, carry, s >> 8, s & 0xFF, 0, 0) == (*expected, *cells)
+            mem = {cpu.W_CELL: s >> 8, cpu.X_CELL: s & 0xFF, cpu.Y_CELL: 0, cpu.Z_CELL: 0}
+            got = compiled(acc, carry, *[mem[addr] for addr in cells])
+            expected = _run(routine, acc, carry, mem, inc_sets_carry)
+            assert got == (*expected, *[mem[addr] for addr in cells])
 
     @pytest.mark.parametrize("inc_sets_carry", [False, True])
     @pytest.mark.parametrize("mnemonic", [m for m in Mnemonic if m is not Mnemonic.RTS])
     def test_each_instruction_form_at_byte_edges(self, mnemonic, inc_sets_carry):
-        # the operand is cell 1, so an index mix-up with cell 0 shows
-        operand = 0x5A if mnemonic is Mnemonic.LDA_IMM else None if mnemonic in cpu.IMPLIED else 1
-        n_cells = 2 if operand == 1 else 0
-        program = ((mnemonic.value, operand),)
-        compiled = cpu._compile(program, inc_sets_carry)
+        # the operand is cell 0x11 beside cell 0x10, so an address mix-up shows
+        operand = 0x5A if mnemonic is Mnemonic.LDA_IMM else None if mnemonic in cpu.IMPLIED else 0x11
+        routine = Routine((Instr(mnemonic, operand), Instr(Mnemonic.RTS)))
+        compiled, cells = cpu._compile(routine, inc_sets_carry)
+        assert cells == ((0x11,) if operand == 0x11 else ())
         edges = (0x00, 0x01, 0x7F, 0x80, 0xFE, 0xFF)
         for acc in edges:
             for carry in (0, 1):
                 for value in edges:
-                    cells = [0x33, value][:n_cells]
-                    got = compiled(acc, carry, *cells)
-                    expected = _run(program, acc, carry, cells, inc_sets_carry)
-                    assert got == (*expected, *cells)
+                    mem = {0x10: 0x33, 0x11: value}
+                    got = compiled(acc, carry, *[mem[addr] for addr in cells])
+                    expected = _run(routine, acc, carry, mem, inc_sets_carry)
+                    assert got == (*expected, *[mem[addr] for addr in cells])
+                    assert mem[0x10] == 0x33
+
+    @pytest.mark.parametrize("inc_sets_carry", [False, True])
+    def test_random_routines_on_three_cells(self, inc_sets_carry):
+        rng = random.Random(3)
+        forms = [m for m in Mnemonic if m is not Mnemonic.RTS]
+        for _ in range(300):
+            instrs = []
+            for _ in range(rng.randrange(1, 25)):
+                m = rng.choice(forms)
+                if m in cpu.IMPLIED:
+                    instrs.append(Instr(m))
+                elif m is Mnemonic.LDA_IMM:
+                    instrs.append(Instr(m, rng.randrange(0x100)))
+                else:
+                    instrs.append(Instr(m, rng.choice((0x20, 0x21, 0x22))))
+            routine = Routine(tuple(instrs) + (Instr(Mnemonic.RTS),))
+            compiled, cells = cpu._compile(routine, inc_sets_carry)
+            mem = {addr: rng.randrange(0x100) for addr in (0x20, 0x21, 0x22)}
+            acc, carry = rng.randrange(0x100), rng.randrange(2)
+            got = compiled(acc, carry, *[mem[addr] for addr in cells])
+            expected = _run(routine, acc, carry, mem, inc_sets_carry)
+            assert got == (*expected, *[mem[addr] for addr in cells])
 
     def test_nothing_is_compiled_at_import(self):
         src = str(Path(cpu.__file__).resolve().parents[1])

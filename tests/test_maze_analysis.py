@@ -22,7 +22,6 @@ from entombed.mazegen import (
     ModelBitSource,
     MysteryTable,
     PostprocessRule,
-    _DEFAULT_RULES,
     default_table,
     generate_maze,
 )
@@ -380,10 +379,9 @@ class TestSurveyMatchesReference:
         assert maze_survey(65537, 2, seed=3) == expected
 
     def test_custom_table(self):
-        entries = dict(_DEFAULT_RULES)
-        for key in list(entries)[::3]:
-            entries[key] = CellRule.RANDOM
-        table = MysteryTable(entries)
+        rules = list(default_table().rules)
+        rules[::3] = [CellRule.RANDOM] * len(rules[::3])
+        table = MysteryTable(rules)
         assert maze_survey(300, 30, seed=7, table=table) == reference_survey(
             300, 30, seed=7, table=table
         )
@@ -443,11 +441,27 @@ class TestSurvey:
     def test_n_mazes_must_be_positive(self):
         with pytest.raises(ValueError):
             maze_survey(0, seed=1)
+        for n_mazes in (1.5, 5.0, "5", None):
+            with pytest.raises(ValueError, match="n_mazes must be an int"):
+                maze_survey(n_mazes, seed=1)
+        for rows_per_maze in (0, 2.5, 60.0, "60"):
+            with pytest.raises(ValueError, match="rows must be an int"):
+                maze_survey(5, rows_per_maze, seed=1)
+
+    @pytest.mark.parametrize("seed", [70000, 0x10000, -1, 1.5, "1"])
+    def test_seed_must_be_a_word(self, seed):
+        # the model source and the CLI refuse these too; none may be wrapped
+        with pytest.raises(ValueError, match="seed must be a 16-bit value"):
+            maze_survey(5, seed=seed)
 
 
 class TestDerivedSeed:
     def test_wraps_past_65536(self):
         assert derived_seed(0xFFFF, 1) == buggy_step(0)
+        # only the index wraps: a seed outside the word is refused
+        for seed in (70000, 0x10000, -1, 1.5):
+            with pytest.raises(ValueError, match="seed must be a 16-bit value"):
+                derived_seed(seed, 0)
 
     def test_period_is_65536_in_the_index(self):
         for seed in (0, 1, 0xFF00, 0xFFFF):
@@ -463,5 +477,5 @@ class TestTableStats:
         assert sum(table_stats(default_table()).values()) == 32
 
     def test_all_wall_table(self):
-        table = MysteryTable({k: CellRule.WALL for k in _DEFAULT_RULES})
+        table = MysteryTable((CellRule.WALL,) * 32)
         assert table_stats(table) == {"wall": 32, "open": 0, "random": 0}

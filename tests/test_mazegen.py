@@ -1,11 +1,11 @@
 """Tests for the row generator, the context table and the bit sources."""
 
+import dataclasses
 import random
 from collections import Counter
 
 import pytest
 
-from entombed import mazegen
 from entombed.mazegen import (
     BitUnderflowError,
     CellRule,
@@ -40,45 +40,56 @@ class TestTable:
         assert table.rule(0b00, 0b011) is CellRule.RANDOM
 
     def test_exactly_32_entries(self):
-        assert len(default_table().entries) == 32
+        assert len(default_table().rules) == 32
 
     def test_rejects_missing_entries(self):
-        entries = dict(mazegen._DEFAULT_RULES)
-        del entries[(0b00, 0b000)]
-        with pytest.raises(ValueError):
-            MysteryTable(entries)
+        for length in (0, 31, 33):
+            with pytest.raises(ValueError, match="32 CellRule members"):
+                MysteryTable((CellRule.WALL,) * length)
+
+    @pytest.mark.parametrize("member", ["wall", "W", None, 0])
+    def test_rejects_a_member_that_is_not_a_cell_rule(self, member):
+        rules = list(default_table().rules)
+        rules[5] = member
+        with pytest.raises(ValueError, match="32 CellRule members"):
+            MysteryTable(rules)
+
+    def test_rejects_the_context_mapping(self):
+        # a dict keyed by (last_two, three_above) is refused, not read as its keys
+        mapping = {(i >> 3, i & 0b111): rule for i, rule in enumerate(default_table().rules)}
+        with pytest.raises(ValueError, match="32 CellRule members"):
+            MysteryTable(mapping)
 
     def test_entries_are_read_only(self):
         table = default_table()
         with pytest.raises(TypeError):
-            table.entries[(0b00, 0b000)] = "wall"
-        with pytest.raises(TypeError):
-            del table.entries[(0b00, 0b000)]
-        with pytest.raises(TypeError):
-            table.entries[(0b100, 0b000)] = CellRule.WALL
-        assert dict(table.entries) == mazegen._DEFAULT_RULES
+            table.rules[0] = CellRule.OPEN
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            table.rules = (CellRule.OPEN,) * 32
+        assert table == default_table()
 
     def test_entries_are_copied_at_construction(self):
-        entries = dict(mazegen._DEFAULT_RULES)
-        table = MysteryTable(entries)
-        entries[(0b00, 0b000)] = "wall"
+        rules = list(default_table().rules)
+        table = MysteryTable(rules)
+        rules[0] = CellRule.OPEN
+        assert type(table.rules) is tuple
         assert table.rule(0b00, 0b000) is CellRule.WALL
 
-    def test_rejects_foreign_keys(self):
-        entries = dict(mazegen._DEFAULT_RULES)
-        del entries[(0b00, 0b000)]
-        entries[(0b100, 0b000)] = CellRule.WALL
-        with pytest.raises(ValueError):
-            MysteryTable(entries)
-
     def test_equal_tables_hash_equal(self):
-        a, b = default_table(), MysteryTable(dict(mazegen._DEFAULT_RULES))
+        a, b = default_table(), MysteryTable(list(default_table().rules))
         assert a == b and hash(a) == hash(b)
         assert {a: "game"}[b] == "game"
         assert len({a, b}) == 1
-        other = dict(mazegen._DEFAULT_RULES)
-        other[(0b00, 0b000)] = CellRule.OPEN
+        other = list(a.rules)
+        other[0] = CellRule.OPEN
         assert len({a, MysteryTable(other)}) == 2
+
+    @pytest.mark.parametrize(
+        "last_two, three_above", [(4, 0), (-1, 0), (0, 8), (0, -1), (1.0, 0), (0, "1"), (None, 0)]
+    )
+    def test_rule_outside_the_table(self, last_two, three_above):
+        with pytest.raises(ValueError, match="no table context"):
+            default_table().rule(last_two, three_above)
 
 
 class TestGenerateRow:
@@ -135,7 +146,7 @@ class TestGenerateRow:
 
     def test_non_random_rules_never_consult_the_source(self):
         # with no random entries the produced row cannot depend on the source
-        all_wall = MysteryTable({k: CellRule.WALL for k in mazegen._DEFAULT_RULES})
+        all_wall = MysteryTable((CellRule.WALL,) * 32)
         for prev in (0x00, 0xFF, 0xA5):
             row_a, trace_a = generate_row([prev], ConstantBitSource(0), all_wall)
             row_b, trace_b = generate_row([prev], ConstantBitSource(1), all_wall)
@@ -312,6 +323,9 @@ class TestGenerateMaze:
     def test_rows_must_be_positive(self):
         with pytest.raises(ValueError):
             generate_maze(ModelBitSource(1), 0)
+        for rows in (2.5, 60.0, "60", None):
+            with pytest.raises(ValueError, match="rows must be an int"):
+                generate_maze(ModelBitSource(1), rows)
 
     def test_zeros_source_is_reproducible(self):
         rows_a, _ = generate_maze(ConstantBitSource(0), 60)
@@ -372,8 +386,8 @@ def windowed_maze(source, rows, table):
     return out, traces
 
 
-ALL_WALL = MysteryTable({k: CellRule.WALL for k in mazegen._DEFAULT_RULES})
-ALL_RANDOM = MysteryTable({k: CellRule.RANDOM for k in mazegen._DEFAULT_RULES})
+ALL_WALL = MysteryTable((CellRule.WALL,) * 32)
+ALL_RANDOM = MysteryTable((CellRule.RANDOM,) * 32)
 C1, C2 = PostprocessRule.CONDITION1, PostprocessRule.CONDITION2
 
 

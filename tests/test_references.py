@@ -14,7 +14,9 @@ import pytest
 HERE = Path(__file__).resolve().parent
 
 FORBIDDEN = {
-    "reference_cpu": {"_compile", "execute", "oracle_prng_step"},
+    "reference_cpu": {
+        "_compile", "_TEMPLATES", "_INC_SETS_CARRY", "_ORACLE_RUNS", "execute", "oracle_prng_step",
+    },
     "reference_prng": {"rho_decomposition", "canonical_seed_survey"},
     "reference_mazegen": {"generate_maze"},
 }
