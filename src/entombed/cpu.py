@@ -10,11 +10,11 @@ bug. No other flags are modelled; the routine never branches and never
 reads them. Decimal mode is assumed off, as it is in the game.
 
 A concrete routine is compiled by :func:`_compile`, up to its first RTS,
-into one straight-line Python function per routine and carry mode, whose
-locals are the zero-page cells it touches, named by address.
-:func:`execute` runs that function, kept in a bounded cache, on its
-machine's cells; :func:`oracle_prng_step` runs the game's routine,
-compiled on first use per carry mode.
+into one straight-line Python function per carry mode, whose locals are
+the zero-page cells it touches, named by address. Each routine keeps both
+on itself, built on first read (:attr:`Routine.compiled`), so
+:func:`execute` finds them without hashing the routine, and
+:func:`oracle_prng_step` runs the game's routine the same way.
 
 The same instruction list doubles as the source for the byte signature
 used by :mod:`entombed.romscan`: assembling the routine with named cell
@@ -26,10 +26,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import lru_cache
+from functools import cached_property
 from operator import index
 from types import MappingProxyType
 from typing import Callable, Dict, List, Mapping, Tuple, Union
+
+from .prng import _check_word
 
 Operand = Union[int, str]
 
@@ -84,29 +86,22 @@ class Instr:
 
 @dataclass(frozen=True)
 class Routine:
-    """An ordered instruction list ending in RTS."""
+    """An ordered instruction list ending in RTS; it is copied into a tuple."""
 
     instrs: Tuple[Instr, ...]
 
     def __post_init__(self) -> None:
-        if not self.instrs or self.instrs[-1].mnemonic is not Mnemonic.RTS:
+        instrs = tuple(self.instrs)
+        if not all(isinstance(ins, Instr) for ins in instrs):
+            raise ValueError("routine elements must be Instr values")
+        if not instrs or instrs[-1].mnemonic is not Mnemonic.RTS:
             raise ValueError("routine must end with RTS")
+        object.__setattr__(self, "instrs", instrs)
 
-    @property
-    def is_concrete(self) -> bool:
-        """True when every operand is a byte (so the routine can execute)."""
-        return not any(isinstance(i.operand, str) for i in self.instrs)
-
-
-def _check_registers(acc: int, carry: int) -> None:
-    if not isinstance(acc, int):
-        raise ValueError(f"acc must be an int, got {acc!r}")
-    if not isinstance(carry, int):
-        raise ValueError(f"carry must be an int, got {carry!r}")
-    if not 0 <= acc <= 0xFF:
-        raise ValueError(f"acc out of byte range: {acc!r}")
-    if carry not in (0, 1):
-        raise ValueError(f"carry must be 0 or 1: {carry!r}")
+    @cached_property
+    def compiled(self) -> Tuple[Tuple[Callable, Tuple[int, ...]], ...]:
+        """:func:`_compile`'s ``(run, cells)``, indexed by carry mode; built on first read."""
+        return (_compile(self, False), _compile(self, True))
 
 
 @dataclass(frozen=True)
@@ -123,15 +118,15 @@ class MicroMachine:
     mem: Mapping[int, int] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        _check_registers(self.acc, self.carry)
         mem = MappingProxyType(dict(self.mem))
+        fields = [("acc", self.acc, 0xFF), ("carry", self.carry, 1)]
         for addr, value in mem.items():
-            if not isinstance(addr, int):
-                raise ValueError(f"cell address must be an int, got {addr!r}")
-            if not isinstance(value, int):
-                raise ValueError(f"cell {addr!r} value must be an int, got {value!r}")
-            if not 0 <= addr <= 0xFF or not 0 <= value <= 0xFF:
-                raise ValueError(f"cell {addr!r}={value!r} out of byte range")
+            fields += [("cell address", addr, 0xFF), (f"cell {addr!r} value", value, 0xFF)]
+        for name, value, top in fields:
+            if type(value) is not int:  # a bool or another int subclass is not a byte
+                raise ValueError(f"{name} must be an int, got {value!r}")
+            if not 0 <= value <= top:
+                raise ValueError(f"{name} out of range(0, {top + 1}): {value!r}")
         object.__setattr__(self, "mem", mem)
 
 
@@ -185,7 +180,6 @@ _TEMPLATES = {
 _INC_SETS_CARRY = "carry = int(m{a} == 0)"
 
 
-@lru_cache(maxsize=64)
 def _compile(routine: Routine, inc_sets_carry: bool) -> Tuple[Callable, Tuple[int, ...]]:
     """Compile a concrete routine, up to its first RTS, into ``(run, cells)``.
 
@@ -198,7 +192,7 @@ def _compile(routine: Routine, inc_sets_carry: bool) -> Tuple[Callable, Tuple[in
     range-checked ints, as :mod:`dataclasses` builds its methods. Nothing
     after the first RTS is compiled.
     """
-    if not routine.is_concrete:
+    if any(isinstance(ins.operand, str) for ins in routine.instrs):
         raise ValueError("cannot execute a template routine with unresolved slots")
     cells: Dict[int, None] = {}  # insertion-ordered set
     body = []
@@ -227,7 +221,7 @@ def execute(machine: MicroMachine, routine: Routine, inc_sets_carry: bool = Fals
     anything runs; the code never branches and runs on a copy, so this
     looks the same as faulting just before the instruction.
     """
-    run, cells = _compile(routine, bool(inc_sets_carry))
+    run, cells = routine.compiled[bool(inc_sets_carry)]
     mem = machine.mem
     for addr in cells:
         if addr not in mem:
@@ -240,30 +234,17 @@ def execute(machine: MicroMachine, routine: Routine, inc_sets_carry: bool = Fals
 W_CELL, X_CELL, Y_CELL, Z_CELL = 0xDD, 0xDE, 0xDF, 0xE0
 
 _ORACLE_ROUTINE = prng_routine(W_CELL, X_CELL, Y_CELL, Z_CELL)  # touches W, Y, X, Z in that order
-_ORACLE_RUNS: Dict[bool, Callable] = {}  # by carry mode, compiled on first use
 
 
-def oracle_prng_step(
-    state: int,
-    inc_sets_carry: bool = False,
-    *,
-    initial_acc: int = 0,
-    initial_carry: int = 0,
-) -> int:
+def oracle_prng_step(state: int, inc_sets_carry: bool = False) -> int:
     """Advance the state word by executing the game's compiled routine.
 
-    The result is independent of the initial accumulator and carry (both
-    are overwritten before first use); they are parameters only so that
-    independence can be demonstrated.
+    The routine starts from a zero accumulator and carry; it overwrites
+    both before first reading them, so any other start gives the same word.
     """
-    if not isinstance(state, int) or not 0 <= state <= 0xFFFF:
-        raise ValueError(f"state must be a 16-bit value, got {state!r}")
-    _check_registers(initial_acc, initial_carry)
-    mode = bool(inc_sets_carry)
-    run = _ORACLE_RUNS.get(mode)
-    if run is None:
-        run = _ORACLE_RUNS[mode] = _compile(_ORACLE_ROUTINE, mode)[0]
-    _, _, w, _, x, _ = run(initial_acc, initial_carry, state >> 8, 0, state & 0xFF, 0)
+    _check_word(state)
+    run = _ORACLE_ROUTINE.compiled[bool(inc_sets_carry)][0]
+    _, _, w, _, x, _ = run(0, 0, state >> 8, 0, state & 0xFF, 0)
     return (w << 8) | x
 
 

@@ -13,11 +13,11 @@ tied to a specific dump without distributing it.
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import os
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from .cpu import assemble, prng_routine
@@ -27,11 +27,12 @@ Element = Union[int, str]
 
 @dataclass(frozen=True)
 class SignatureTemplate:
-    """An ordered mix of fixed bytes and named wildcard slots."""
+    """An ordered mix of fixed bytes and named wildcard slots, copied into a tuple."""
 
     elements: Tuple[Element, ...]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "elements", tuple(self.elements))
         if not self.elements:
             raise ValueError("signature must not be empty")
         fixed = 0
@@ -89,6 +90,26 @@ class SignatureTemplate:
                 out.append(value)
         return bytes(out)
 
+    @cached_property
+    def plan(self):
+        """Anchor index and bytes (the first longest fixed run), verifier, slot first indices."""
+        start = length = run = 0
+        parts: List[bytes] = []
+        firsts: Dict[str, int] = {}
+        for i, el in enumerate(self.elements):
+            run = run + 1 if isinstance(el, int) else 0
+            if run > length:
+                start, length = i - run + 1, run
+            if isinstance(el, int):
+                parts.append(re.escape(bytes((el,))))
+            elif el in firsts:
+                parts.append(b"(?P=g%d)" % firsts[el])
+            else:  # generated group names: a slot name need not be a valid one
+                parts.append(b"(?P<g%d>.)" % i)
+                firsts[el] = i
+        pattern = re.compile(b"".join(parts), re.DOTALL)
+        return start, bytes(self.elements[start : start + length]), pattern, tuple(firsts.items())
+
     def to_text(self) -> str:
         """Serialize as whitespace-separated ``hh`` / ``?name`` tokens."""
         return " ".join(
@@ -119,7 +140,7 @@ def prng_signature(include_rts: bool = True) -> SignatureTemplate:
     RTS is included by default: it is part of the routine and sharpens
     the pattern.
     """
-    elements = tuple(assemble(prng_routine("W", "X", "Y", "Z")))
+    elements = assemble(prng_routine("W", "X", "Y", "Z"))
     if not include_rts:
         elements = elements[:-1]
     return SignatureTemplate(elements)
@@ -146,27 +167,6 @@ class ScanHit:
         )
 
 
-@functools.lru_cache()
-def _scan_plan(elements: Tuple[Element, ...]):
-    """Anchor index and bytes (the first longest fixed run), verifier, slot first indices."""
-    start = length = run = 0
-    parts: List[bytes] = []
-    firsts: Dict[str, int] = {}
-    for i, el in enumerate(elements):
-        run = run + 1 if isinstance(el, int) else 0
-        if run > length:
-            start, length = i - run + 1, run
-        if isinstance(el, int):
-            parts.append(re.escape(bytes((el,))))
-        elif el in firsts:
-            parts.append(b"(?P=g%d)" % firsts[el])
-        else:  # generated group names: a slot name need not be a valid one
-            parts.append(b"(?P<g%d>.)" % i)
-            firsts[el] = i
-    pattern = re.compile(b"".join(parts), re.DOTALL)
-    return start, bytes(elements[start : start + length]), pattern, tuple(firsts.items())
-
-
 def scan_bytes(buf: bytes, sig: SignatureTemplate, source: str = "<bytes>") -> List[ScanHit]:
     """Every offset where the signature matches, in ascending order.
 
@@ -178,7 +178,7 @@ def scan_bytes(buf: bytes, sig: SignatureTemplate, source: str = "<bytes>") -> L
     identical to trying :meth:`SignatureTemplate.match_at` at every offset.
     """
     hits: List[ScanHit] = []
-    anchor_index, anchor, pattern, firsts = _scan_plan(tuple(sig.elements))
+    anchor_index, anchor, pattern, firsts = sig.plan
     pos = buf.find(anchor, anchor_index)
     while pos != -1:
         offset = pos - anchor_index

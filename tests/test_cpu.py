@@ -124,6 +124,11 @@ class TestMachineIsFrozen:
             ({"mem": {"16": 3}}, "cell address"),
             ({"mem": {0x10: 3.0}}, "cell 16 value"),
             ({"mem": {0x10: b"\x03"}}, "cell 16 value"),
+            # a bool is an int subclass, not a byte
+            ({"acc": True}, "acc"),
+            ({"carry": False}, "carry"),
+            ({"mem": {True: 3}}, "cell address"),
+            ({"mem": {0x10: False}}, "cell 16 value"),
         ],
     )
     def test_non_int_fields_are_refused_by_name(self, fields, name):
@@ -179,6 +184,19 @@ class TestInstrValidation:
         with pytest.raises(ValueError):
             Routine((Instr(Mnemonic.CLC),))
 
+    def test_routine_copies_a_list_into_a_tuple(self):
+        instrs = [Instr(Mnemonic.CLC), Instr(Mnemonic.RTS)]
+        routine = Routine(instrs)
+        instrs.pop()
+        assert routine.instrs == (Instr(Mnemonic.CLC), Instr(Mnemonic.RTS))
+        assert hash(routine) == hash(Routine(tuple(routine.instrs)))
+        assert cpu.execute(MicroMachine(carry=1), routine).carry == 0
+
+    @pytest.mark.parametrize("element", [0x18, "CLC", None, (Mnemonic.CLC,)])
+    def test_routine_elements_must_be_instrs(self, element):
+        with pytest.raises(ValueError, match="routine elements must be Instr values"):
+            Routine((element, Instr(Mnemonic.RTS)))
+
 
 class TestPrngRoutine:
     def test_has_21_instructions(self):
@@ -205,6 +223,13 @@ class TestPrngRoutine:
             cpu.execute(machine, routine)
 
 
+def oracle_from(state, acc, carry):
+    """The game's routine on ``state``, run by execute from the given registers."""
+    mem = {cpu.W_CELL: state >> 8, cpu.X_CELL: state & 0xFF, cpu.Y_CELL: 0, cpu.Z_CELL: 0}
+    out = cpu.execute(MicroMachine(acc=acc, carry=carry, mem=mem), cpu._ORACLE_ROUTINE)
+    return (out.mem[cpu.W_CELL] << 8) | out.mem[cpu.X_CELL]
+
+
 class TestOracleStep:
     def test_examples(self):
         assert cpu.oracle_prng_step(0x0000, False) == 0x0001
@@ -219,11 +244,13 @@ class TestOracleStep:
         for s in range(0x10000):
             assert cpu.oracle_prng_step(s, True) == prng.correct_step(s)
 
+    # oracle_prng_step starts the routine from a zero accumulator and carry;
+    # execute runs the same routine from any other start
+
     def test_result_independent_of_initial_carry_exhaustive(self):
-        for s in range(0x10000):
-            assert cpu.oracle_prng_step(s, False, initial_carry=0) == cpu.oracle_prng_step(
-                s, False, initial_carry=1
-            )
+        for carry in (0, 1):
+            for s in range(0x10000):
+                assert oracle_from(s, acc=0, carry=carry) == cpu.oracle_prng_step(s, False)
 
     def test_result_independent_of_initial_acc_and_carry_sampled(self):
         rng = random.Random(0)
@@ -232,10 +259,7 @@ class TestOracleStep:
             reference = cpu.oracle_prng_step(s, False)
             for acc in (0x00, 0xFF):
                 for carry in (0, 1):
-                    assert (
-                        cpu.oracle_prng_step(s, False, initial_acc=acc, initial_carry=carry)
-                        == reference
-                    )
+                    assert oracle_from(s, acc=acc, carry=carry) == reference
 
     def test_any_truthy_value_selects_the_carry_fix(self):
         for s in random.Random(1).sample(range(0x10000), 512):
@@ -306,11 +330,31 @@ class TestCompiledAgainstRun:
         src = str(Path(cpu.__file__).resolve().parents[1])
         code = (
             "import entombed.cli, entombed.cpu as c; "
-            "print(len(c._ORACLE_RUNS), c._compile.cache_info().currsize)"
+            "print('compiled' in vars(c._ORACLE_ROUTINE))"
         )
         env = {**os.environ, "PYTHONPATH": src}
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=20, env=env)
-        assert out.stdout == "0 0\n", out.stderr
+        assert out.stdout == "False\n", out.stderr
+
+    def test_a_compiled_routine_is_not_hashed_again(self, monkeypatch):
+        routine = cpu.prng_routine(0x10, 0x11, 0x12, 0x13)
+        machine = MicroMachine(mem={0x10: 0x12, 0x11: 0x34, 0x12: 0, 0x13: 0})
+        cpu.execute(machine, routine)
+        compiled = routine.compiled
+        hashes = []
+        instr_hash = Instr.__hash__
+
+        def counting_hash(self):
+            hashes.append(self)
+            return instr_hash(self)
+
+        monkeypatch.setattr(Instr, "__hash__", counting_hash)
+        for inc_sets_carry in (False, True) * 50:
+            cpu.execute(machine, routine, inc_sets_carry)
+        assert hashes == []
+        assert routine.compiled is compiled
+        hash(routine)  # what a cache keyed by the routine would pay per call
+        assert len(hashes) == 21
 
 
 # Cell layouts other than the game's own 0xDD-0xE0: consecutive low cells,
@@ -355,15 +399,18 @@ class TestExecuteOnOtherCells:
 
 
 class TestOracleStepRangeChecks:
+    """The state word is checked by oracle_prng_step; the routine's initial
+    registers by the machine that execute runs it on."""
+
     @pytest.mark.parametrize("acc", [-1, 0x100, 1.5, "1"])
     def test_initial_acc_out_of_byte_range(self, acc):
-        with pytest.raises(ValueError):
-            cpu.oracle_prng_step(0x1234, initial_acc=acc)
+        with pytest.raises(ValueError, match="^acc "):
+            oracle_from(0x1234, acc=acc, carry=0)
 
     @pytest.mark.parametrize("carry", [-1, 2, 1.5, "1"])
     def test_initial_carry_not_a_bit(self, carry):
-        with pytest.raises(ValueError):
-            cpu.oracle_prng_step(0x1234, initial_carry=carry)
+        with pytest.raises(ValueError, match="^carry "):
+            oracle_from(0x1234, acc=0, carry=carry)
 
     @pytest.mark.parametrize("state", [-1, 0x10000, 1.5, "1"])
     def test_state_out_of_word_range(self, state):

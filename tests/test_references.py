@@ -15,7 +15,7 @@ HERE = Path(__file__).resolve().parent
 
 FORBIDDEN = {
     "reference_cpu": {
-        "_compile", "_TEMPLATES", "_INC_SETS_CARRY", "_ORACLE_RUNS", "execute", "oracle_prng_step",
+        "_compile", "_TEMPLATES", "_INC_SETS_CARRY", "compiled", "execute", "oracle_prng_step",
     },
     "reference_prng": {"rho_decomposition", "canonical_seed_survey"},
     "reference_mazegen": {"generate_maze"},

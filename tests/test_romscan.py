@@ -6,7 +6,6 @@ import re
 
 import pytest
 
-from entombed import romscan
 from entombed.romscan import (
     ScanHit,
     SignatureTemplate,
@@ -79,6 +78,18 @@ class TestSignatureTemplate:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             SignatureTemplate(())
+
+    def test_a_list_is_copied_into_a_tuple(self):
+        elements = [0xA9, "W"]
+        sig = SignatureTemplate(elements)
+        elements.append(999)
+        assert sig.elements == (0xA9, "W")
+        with pytest.raises(AttributeError):
+            sig.elements.append(999)
+        assert [h.bindings for h in scan_bytes(bytes([0xA9, 7]), sig)] == [{"W": 7}]
+
+    def test_is_hashable(self):
+        assert hash(SignatureTemplate([0xA9])) == hash(SignatureTemplate((0xA9,)))
 
     def test_text_round_trip(self):
         sig = prng_signature()
@@ -217,12 +228,11 @@ class TestScanBytes:
 class TestScanPlan:
     @pytest.mark.parametrize("include_rts", [True, False])
     def test_prng_signature_anchors_on_a9_00_65(self, include_rts):
-        elements = prng_signature(include_rts=include_rts).elements
-        anchor_index, anchor, _, _ = romscan._scan_plan(elements)
+        anchor_index, anchor, _, _ = prng_signature(include_rts=include_rts).plan
         assert (anchor_index, anchor) == (19, bytes([0xA9, 0x00, 0x65]))
 
     def test_tied_runs_anchor_on_the_first(self):
-        anchor_index, anchor, _, _ = romscan._scan_plan(("a", 0x01, 0x02, "b", 0x03, 0x04))
+        anchor_index, anchor, _, _ = SignatureTemplate(("a", 0x01, 0x02, "b", 0x03, 0x04)).plan
         assert (anchor_index, anchor) == (1, bytes([0x01, 0x02]))
 
     def test_pattern_is_compiled_once_per_template(self, tmp_path, monkeypatch):
@@ -234,7 +244,6 @@ class TestScanPlan:
             return compile_(*args)
 
         monkeypatch.setattr(re, "compile", counting_compile)
-        romscan._scan_plan.cache_clear()
         for i in range(4):
             (tmp_path / f"rom{i}.bin").write_bytes(bytes([0xA9, 0x00, 0x65] * 40))
         report = scan_corpus(sorted(str(p) for p in tmp_path.iterdir()), prng_signature())
