@@ -192,7 +192,7 @@ def _cmd_scan(args: argparse.Namespace) -> int:
             "signature_length": len(sig),
             "hits": [
                 {
-                    **asdict(h),
+                    "source": h.source, "offset": h.offset, "bindings": dict(h.bindings),
                     "bindings_distinct": h.bindings_distinct(),
                     "bindings_consecutive": h.bindings_consecutive(),
                 }

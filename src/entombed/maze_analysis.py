@@ -48,7 +48,7 @@ _ROW_BY_TEXT = {text: row for row, text in enumerate(_SCREEN_TEXT)}
 
 
 def _check_row(row: int) -> int:
-    if not isinstance(row, int) or not 0 <= row <= 0xFF:
+    if type(row) is not int or not 0 <= row <= 0xFF:  # no bool or other int subclass
         raise ValueError(f"row must be an 8-bit value, got {row!r}")
     return row
 
@@ -83,7 +83,7 @@ class Grid:
         if not rows:
             raise ValueError("grid must have at least one row")
         for r, row in enumerate(rows):
-            if not isinstance(row, int) or not 0 <= row <= 0xFF:
+            if type(row) is not int or not 0 <= row <= 0xFF:  # no bool or other int subclass
                 raise ValueError(f"grid row {r} must be an 8-bit int, got {row!r}")
         object.__setattr__(self, "rows", rows)
 

@@ -6,8 +6,9 @@ at a time, left to right. Each new bit is chosen by looking up five bits
 of wall context in a 32-entry table: the two bits already generated to
 the left (seeded as 1,0 at the row start) and the three padded bits
 above. A table entry says wall, open, or "ask the PRNG". No closed-form
-structure for the table is known; it behaves like hand-tuned data, and it
-is reproduced here entry for entry.
+structure for the table is known; it is reproduced here entry for entry,
+as data, and compiled on first use into one decision tree per nibble, so
+a row costs its random draws and two tree walks, not eight lookups.
 
 After each row the game scans the recent rows for two degenerate
 patterns and, on a hit, blanks all or part of the newest row:
@@ -29,7 +30,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, List, Optional, Protocol, Sequence, Tuple
+from functools import cache, cached_property
+from typing import List, Optional, Protocol, Sequence, Tuple
 
 from .prng import _check_word, buggy_step
 
@@ -73,6 +75,16 @@ _TABLE_SYMBOLS = "WWWROORR" "WWWWROOO" "WWWROOOO" "ROWRROOO"
 _SYMBOL_RULES = {"W": CellRule.WALL, "O": CellRule.OPEN, "R": CellRule.RANDOM}
 
 
+def _nibble(rules: Tuple[CellRule, ...], above: int, bits: int, cell: int = 3):
+    """Cells ``cell``..0 under ``above`` after ``bits``: a nibble, or a RANDOM pair (if 0, if 1)."""
+    if cell < 0:
+        return bits & 0xF
+    rule = rules[((bits & 0b11) << 3) | ((above >> cell) & 0b111)]
+    if rule is CellRule.RANDOM:
+        return tuple(_nibble(rules, above, (bits << 1) | bit, cell - 1) for bit in (0, 1))
+    return _nibble(rules, above, (bits << 1) | (rule is CellRule.WALL), cell - 1)
+
+
 @dataclass(frozen=True)
 class MysteryTable:
     """The 32-entry map from 5-bit wall context to a cell rule.
@@ -80,7 +92,7 @@ class MysteryTable:
     ``rules`` holds one :class:`CellRule` per context, in context order
     ``(last_two << 3) | three_above``. It is copied into a tuple and
     checked at construction, so the table cannot change afterwards, and
-    equal tables hash equal.
+    equal tables hash equal. :attr:`nibbles` is its compiled form.
     """
 
     rules: Tuple[CellRule, ...]
@@ -97,9 +109,16 @@ class MysteryTable:
             raise ValueError(f"no table context ({last_two!r}, {three_above!r})")
         return self.rules[(last_two << 3) | three_above]
 
+    @cached_property
+    def nibbles(self) -> tuple:
+        """Four-cell trees ``[(last_two << 6) | six_above]``, 4096 leaves at most, built on
+        first read; a row walks one per nibble, the high one after the seeded ``0b10``."""
+        return tuple(_nibble(self.rules, i & 0x3F, i >> 6) for i in range(256))
 
+
+@cache
 def default_table() -> MysteryTable:
-    """The table exactly as the game ships it."""
+    """The table exactly as the game ships it: one shared instance, so compiled once."""
     return MysteryTable(tuple(_SYMBOL_RULES[symbol] for symbol in _TABLE_SYMBOLS))
 
 
@@ -212,29 +231,7 @@ def records_from_traces(traces: Sequence[RowTrace]) -> List[Tuple[DrawKind, int]
 
 
 # Module aliases: the row loop reads a global instead of an enum attribute.
-_RANDOM, _WALL = CellRule.RANDOM, CellRule.WALL
 _LEFT, _RIGHT, _MID = DrawKind.LEFT, DrawKind.RIGHT, DrawKind.MID
-
-
-def _next_row(
-    above: int, draw: Callable[[DrawKind], int], rules: Sequence[CellRule]
-) -> Tuple[int, RowTrace]:
-    """One row of :func:`generate_maze` from the kept row ``above``: (row, trace)."""
-    left = draw(_LEFT)
-    right = draw(_RIGHT)
-    padded = (left << 9) | (above << 1) | right
-    row = 0b10  # the seeded last two bits; each generated bit shifts in below
-    mids: List[int] = []
-    for shift in (7, 6, 5, 4, 3, 2, 1, 0):
-        rule = rules[((row & 0b11) << 3) | ((padded >> shift) & 0b111)]
-        if rule is _RANDOM:
-            bit = draw(_MID)
-            mids.append(bit)
-            row = (row << 1) | bit
-        else:
-            row = (row << 1) | (rule is _WALL)
-    row &= 0xFF
-    return row, RowTrace(left, right, mids, row)
 
 
 def generate_maze(
@@ -266,14 +263,27 @@ def generate_maze(
         raise ValueError(f"rows must be an int >= 1, got {rows!r}")
     if table is None:
         table = default_table()
-    rules = table.rules
+    nibbles = table.nibbles
     draw = source.draw
     kept = [0x00]
     traces: List[RowTrace] = []
     above = 0x00
     high_run = low_run = 0
     for _ in range(rows):
-        row, trace = _next_row(above, draw, rules)
+        left, right = draw(_LEFT), draw(_RIGHT)
+        padded = (left << 9) | (above << 1) | right
+        mids: List[int] = []
+        node = nibbles[0x80 | (padded >> 4)]  # 0x80: the seeded last two bits 0b10 << 6
+        while type(node) is tuple:
+            mids.append(bit := draw(_MID))
+            node = node[bit]
+        row = node << 4
+        node = nibbles[((node & 0b11) << 6) | (padded & 0x3F)]
+        while type(node) is tuple:
+            mids.append(bit := draw(_MID))
+            node = node[bit]
+        row |= node
+        trace = RowTrace(left, right, mids, row)
         if 0x10 <= row < 0x80 and high_run >= 10:
             row = 0
             trace.postprocess_fired = PostprocessRule.CONDITION1

@@ -16,9 +16,10 @@ from __future__ import annotations
 import hashlib
 import os
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Dict, Iterable, List, Optional, Tuple, Union
+from types import MappingProxyType
+from typing import Dict, Iterable, List, Mapping, Optional, Tuple, Union
 
 from .cpu import assemble, prng_routine
 
@@ -148,11 +149,14 @@ def prng_signature(include_rts: bool = True) -> SignatureTemplate:
 
 @dataclass(frozen=True)
 class ScanHit:
-    """One match location and the byte each slot was bound to."""
+    """One match location and the byte each slot was bound to, kept as a read-only copy."""
 
     source: str
     offset: int
-    bindings: Dict[str, int]
+    bindings: Mapping[str, int] = field(hash=False)  # equal hits share source and offset
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "bindings", MappingProxyType(dict(self.bindings)))
 
     def bindings_distinct(self) -> bool:
         """Whether all slots bound to pairwise different bytes."""

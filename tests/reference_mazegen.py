@@ -1,14 +1,18 @@
 """One-row generation and the windowed pattern-breaking rules.
 
-``entombed.mazegen.generate_maze`` runs the two rules on run counters;
-:func:`postprocess` is the rescanned 11-row window they replaced, kept as
-the reference for those counters. :func:`generate_row` produces one row
-from a history, for the row-level tests.
+``entombed.mazegen.generate_maze`` walks the table compiled into one
+decision tree per nibble and runs the two rules on run counters.
+:func:`generate_row` is the per-bit loop the trees replaced: it reads
+``table.rules`` itself, one lookup per cell, as the game does, and is the
+reference for the trees. :func:`postprocess` is the rescanned 11-row
+window the counters replaced, kept as the reference for those counters.
 """
 
 from typing import List, Optional, Sequence, Tuple
 
-from entombed.mazegen import MysteryTable, PostprocessRule, RandomBitSource, RowTrace, _next_row
+from entombed.mazegen import (
+    CellRule, DrawKind, MysteryTable, PostprocessRule, RandomBitSource, RowTrace,
+)
 
 
 def generate_row(
@@ -21,7 +25,22 @@ def generate_row(
     """
     if not history:
         raise ValueError("history must contain at least one row")
-    return _next_row(history[-1] & 0xFF, source.draw, table.rules)
+    rules, draw = table.rules, source.draw
+    left = draw(DrawKind.LEFT)
+    right = draw(DrawKind.RIGHT)
+    padded = (left << 9) | ((history[-1] & 0xFF) << 1) | right
+    row = 0b10  # the seeded last two bits; each generated bit shifts in below
+    mids: List[int] = []
+    for shift in (7, 6, 5, 4, 3, 2, 1, 0):
+        rule = rules[((row & 0b11) << 3) | ((padded >> shift) & 0b111)]
+        if rule is CellRule.RANDOM:
+            bit = draw(DrawKind.MID)
+            mids.append(bit)
+            row = (row << 1) | bit
+        else:
+            row = (row << 1) | (rule is CellRule.WALL)
+    row &= 0xFF
+    return row, RowTrace(left, right, mids, row)
 
 
 def postprocess(history: Sequence[int]) -> Tuple[List[int], Optional[PostprocessRule]]:

@@ -28,6 +28,10 @@ from entombed.mazegen import (
 from entombed.prng import buggy_step
 
 
+class Byte(int):
+    """An int subclass, which a row must not be."""
+
+
 class TestExpandRow:
     def test_empty_row(self):
         cells = expand_row(0x00)
@@ -51,9 +55,10 @@ class TestExpandRow:
             assert all(cells[2 * j + 4] == cells[2 * j + 5] for j in range(8))
 
     def test_range_check(self):
-        for bad in (0x100, -1, 1.5, "1"):
-            with pytest.raises(ValueError):
-                expand_row(bad)
+        for bad in (0x100, -1, 1.5, "1", True, False, Byte(1)):
+            for read in (expand_row, render_row):
+                with pytest.raises(ValueError, match="row must be an 8-bit value"):
+                    read(bad)
 
 
 class TestRenderRow:
@@ -101,8 +106,8 @@ class TestGrid:
 
     @pytest.mark.parametrize(
         "bad",
-        [0x100, -1, 1.0, "1", None, expand_row(0x5A)],
-        ids=["0x100", "-1", "1.0", "str", "None", "screen-row"],
+        [0x100, -1, 1.0, "1", None, expand_row(0x5A), True, False, Byte(1)],
+        ids=["0x100", "-1", "1.0", "str", "None", "screen-row", "True", "False", "int-subclass"],
     )
     def test_rejects_a_row_that_is_not_an_8_bit_int(self, bad):
         with pytest.raises(ValueError, match="grid row 1 "):

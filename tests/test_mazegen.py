@@ -1,11 +1,16 @@
 """Tests for the row generator, the context table and the bit sources."""
 
 import dataclasses
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
+import entombed.mazegen
 from entombed.mazegen import (
     BitUnderflowError,
     CellRule,
@@ -465,3 +470,114 @@ class TestRunCounters:
         tape = [(kind, 1) for _ in range(30) for kind in (L, R)]
         traces = self.assert_same(lambda: ReplayBitSource(tape), 30, ALL_WALL)
         assert set(self.fired_at(traces).values()) == {C2}
+
+
+class TapeSource:
+    """A bare list of bits, drawn in order whatever the kind: no checks, so
+    the exhaustive sweep below stays fast."""
+
+    def __init__(self, bits):
+        self.bits = bits
+        self.used = 0
+
+    def draw(self, kind):
+        bit = self.bits[self.used]
+        self.used += 1
+        return bit
+
+
+def walk_nibbles(table, padded, mids):
+    """Walk ``table.nibbles`` as :func:`generate_maze` does: (row, mid bits drawn)."""
+    row, used = 0b10, 0
+    for six_above in (padded >> 4, padded & 0x3F):
+        node = table.nibbles[((row & 0b11) << 6) | six_above]
+        while type(node) is tuple:
+            node = node[mids[used]]
+            used += 1
+        row = (row << 4) | node
+    return row & 0xFF, used
+
+
+def leaves(node):
+    return 1 if type(node) is int else leaves(node[0]) + leaves(node[1])
+
+
+MID_TAPES = [[(tape >> i) & 1 for i in range(7, -1, -1)] for tape in range(256)]
+
+
+def assert_nibbles_match_reference(table, padded, tapes):
+    """The compiled trees against :func:`generate_row`'s per-bit loop, which
+    reads ``table.rules`` one cell at a time."""
+    history = [(padded >> 1) & 0xFF]
+    pads = [padded >> 9, padded & 1]
+    for mids in tapes:
+        source = TapeSource(pads + mids)
+        row, trace = generate_row(history, source, table)
+        used = source.used - 2
+        assert walk_nibbles(table, padded, mids) == (row, used), (padded, mids)
+        assert trace.mid_bits == mids[:used]
+
+
+def one_entry_away(index):
+    """The game's table with entry ``index`` set to each of the other two rules."""
+    for rule in CellRule:
+        if rule is not default_table().rules[index]:
+            rules = list(default_table().rules)
+            rules[index] = rule
+            yield MysteryTable(rules)
+
+
+class TestNibbles:
+    """The compiled row trees against the per-bit reference loop."""
+
+    def test_default_table_every_context_and_tape(self):
+        table = default_table()
+        for padded in range(1 << 10):
+            assert_nibbles_match_reference(table, padded, MID_TAPES)
+
+    @pytest.mark.parametrize(
+        "table", [ALL_WALL, MysteryTable((CellRule.OPEN,) * 32), ALL_RANDOM],
+        ids=["wall", "open", "random"],
+    )
+    def test_uniform_tables_every_context(self, table):
+        rng = random.Random(20)
+        for padded in range(1 << 10):
+            assert_nibbles_match_reference(table, padded, rng.sample(MID_TAPES, 4))
+
+    @pytest.mark.parametrize("index", range(32))
+    def test_tables_one_entry_away_every_context(self, index):
+        rng = random.Random(index)
+        for table in one_entry_away(index):
+            for padded in range(1 << 10):
+                assert_nibbles_match_reference(table, padded, [rng.choice(MID_TAPES)])
+
+    def test_cost_is_bounded_for_any_table(self):
+        # A row walks the 64 trees after 0b10, then any of the 256: an
+        # all-RANDOM table reaches the 4-cell bound of 16 leaves in each.
+        trees = ALL_RANDOM.nibbles
+        assert len(trees) == 256
+        assert sum(map(leaves, trees[0x80:0xC0])) == 1024
+        assert sum(map(leaves, trees)) == 4096
+        game = default_table().nibbles
+        assert (sum(map(leaves, game[0x80:0xC0])), sum(map(leaves, game))) == (162, 698)
+
+    def test_default_table_is_one_shared_instance(self):
+        assert default_table() is default_table()
+        assert default_table().nibbles is default_table().nibbles
+
+    def test_a_custom_table_is_used_as_given(self):
+        equal = MysteryTable(default_table().rules)
+        assert equal == default_table() and equal is not default_table()
+        assert "nibbles" not in vars(equal)
+        assert generate_maze(SeededBitSource(3), 60, equal) == generate_maze(SeededBitSource(3), 60)
+        assert "nibbles" in vars(equal)
+
+    def test_nothing_is_compiled_at_import(self):
+        code = (
+            "import entombed.cli, entombed.mazegen as m; "
+            "print('nibbles' in vars(m.default_table()))"
+        )
+        src = str(Path(entombed.mazegen.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=20, env=env)
+        assert out.stdout == "False\n", out.stderr

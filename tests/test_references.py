@@ -18,7 +18,7 @@ FORBIDDEN = {
         "_compile", "_TEMPLATES", "_INC_SETS_CARRY", "compiled", "execute", "oracle_prng_step",
     },
     "reference_prng": {"rho_decomposition", "canonical_seed_survey"},
-    "reference_mazegen": {"generate_maze"},
+    "reference_mazegen": {"generate_maze", "nibbles", "_nibble", "_next_row"},
 }
 
 

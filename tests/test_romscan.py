@@ -268,6 +268,25 @@ class TestScanHitAnnotations:
         assert not hit.bindings_consecutive()
 
 
+class TestScanHitValue:
+    def test_is_hashable(self):
+        a, b = ScanHit("x", 0, {"W": 1}), ScanHit("x", 0, {"W": 1})
+        assert a == b and hash(a) == hash(b)
+        assert len({a, b, ScanHit("x", 0, {"W": 2}), ScanHit("x", 1, {"W": 1})}) == 3
+
+    def test_bindings_are_a_read_only_copy(self):
+        bindings = {"W": 1}
+        hit = ScanHit("x", 0, bindings)
+        bindings["W"] = 2
+        with pytest.raises(TypeError):
+            hit.bindings["W"] = 3
+        assert hit.bindings == {"W": 1}
+        (found,) = scan_bytes(bytes([0xA9, 7]), SignatureTemplate((0xA9, "W")))
+        with pytest.raises(TypeError):
+            found.bindings["W"] = 8
+        assert found.bindings == {"W": 7}
+
+
 class TestMd5:
     def test_rfc_vectors(self):
         assert md5_of(b"") == "d41d8cd98f00b204e9800998ecf8427e"
