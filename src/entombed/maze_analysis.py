@@ -14,22 +14,12 @@ path; that is what the make-break pickup exists to fix.
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass, field
-from functools import cached_property
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
-from .mazegen import (
-    CellRule,
-    ModelBitSource,
-    MysteryTable,
-    PostprocessRule,
-    default_table,
-    generate_maze,
-)
+from .mazegen import ModelBitSource, MysteryTable, PostprocessRule, default_table, generate_maze
 from .prng import _check_word, buggy_step
-
-GRID_WIDTH = 40
 
 
 def _screen_row(row: int) -> Tuple[int, ...]:
@@ -38,13 +28,12 @@ def _screen_row(row: int) -> Tuple[int, ...]:
 
 
 # The screen format, stated once: the 256 possible screen rows, indexed by
-# the 8-bit row. Rendering, parsing and Grid.cells all derive from it.
+# the 8-bit row. Rendering derives from it.
 SCREEN_ROWS: Tuple[Tuple[int, ...], ...] = tuple(_screen_row(row) for row in range(0x100))
 _SCREEN_TEXT: Tuple[str, ...] = tuple(
     " ".join("".join("_X"[c] for c in half) for half in (cells[:20], cells[20:]))
     for cells in SCREEN_ROWS
 )
-_ROW_BY_TEXT = {text: row for row, text in enumerate(_SCREEN_TEXT)}
 
 
 def _check_row(row: int) -> int:
@@ -53,30 +42,16 @@ def _check_row(row: int) -> int:
     return row
 
 
-def expand_row(row: int) -> Tuple[int, ...]:
-    """One 8-bit row as 40 wall bits: side wall, doubled bits, mirror."""
-    return SCREEN_ROWS[_check_row(row)]
-
-
 def render_row(row: int) -> str:
     """Text for a row: 20 cells per half (``X`` wall, ``_`` open), one space between."""
     return _SCREEN_TEXT[_check_row(row)]
 
 
-def parse_row(line: str) -> int:
-    """Invert :func:`render_row`; raises ValueError on any other line."""
-    row = _ROW_BY_TEXT.get(line)
-    if row is None:
-        raise ValueError(f"not a rendered screen row: {line!r}")
-    return row
-
-
 @dataclass(frozen=True)
 class Grid:
-    """A frozen maze: the 8-bit rows generate_maze returns; ``cells`` is derived on first read."""
+    """A frozen maze: the 8-bit rows generate_maze returns, each checked at construction."""
 
     rows: Tuple[int, ...]
-    width = GRID_WIDTH
 
     def __post_init__(self) -> None:
         rows = tuple(self.rows)
@@ -90,14 +65,6 @@ class Grid:
     @classmethod
     def from_rows(cls, rows: Sequence[int]) -> "Grid":
         return cls(rows)
-
-    @cached_property
-    def cells(self) -> Tuple[Tuple[int, ...], ...]:
-        return tuple(SCREEN_ROWS[row] for row in self.rows)
-
-    @property
-    def height(self) -> int:
-        return len(self.rows)
 
 
 def _spread(reach: int, opens: int) -> int:
@@ -136,7 +103,7 @@ class SolvabilityReport:
     """Whether an open top-row cell of ``grid`` reaches its bottom row.
 
     ``solvable`` is computed from ``grid.rows`` at construction, so it cannot
-    disagree with the grid; ``witness_path`` is searched on first read.
+    disagree with the grid.
     """
 
     grid: Grid
@@ -144,37 +111,6 @@ class SolvabilityReport:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "solvable", _reaches_bottom(self.grid.rows))
-
-    @cached_property
-    def witness_path(self) -> Optional[List[Tuple[int, int]]]:
-        """One top-to-bottom path of open screen cells, or None if unsolvable."""
-        if not self.solvable:
-            return None
-        # Every row mirrors across the centre, so reflecting a path's right-half
-        # cells gives a left-half path between the same rows: search columns 0-19.
-        height, width = self.grid.height, GRID_WIDTH // 2
-        cells = self.grid.cells
-        parents: Dict[Tuple[int, int], Optional[Tuple[int, int]]] = {}
-        queue: deque = deque()
-        for c in range(width):
-            if cells[0][c] == 0:
-                parents[(0, c)] = None
-                queue.append((0, c))
-        while True:  # the flood fill found a path, so the bottom row is reached
-            r, c = queue.popleft()
-            if r == height - 1:
-                path = []
-                node: Optional[Tuple[int, int]] = (r, c)
-                while node is not None:
-                    path.append(node)
-                    node = parents[node]
-                path.reverse()
-                return path
-            for nr, nc in ((r + 1, c), (r - 1, c), (r, c + 1), (r, c - 1)):
-                if 0 <= nr < height and 0 <= nc < width and cells[nr][nc] == 0:
-                    if (nr, nc) not in parents:
-                        parents[(nr, nc)] = (r, c)
-                        queue.append((nr, nc))
 
 
 def is_solvable(grid: Grid) -> SolvabilityReport:
@@ -219,7 +155,7 @@ def maze_survey(
     condition 1 fires, condition 2 fires and verdict by that count: at most
     256 mazes, and O(256) work, for any ``n_mazes``.
     """
-    if not isinstance(n_mazes, int) or n_mazes < 1:
+    if type(n_mazes) is not int or n_mazes < 1:  # no bool or other int subclass
         raise ValueError(f"n_mazes must be an int >= 1, got {n_mazes!r}")
     if table is None:
         table = default_table()
@@ -240,11 +176,3 @@ def maze_survey(
         mazes_generated=n_mazes,
         unsolvable_count=unsolvable,
     )
-
-
-def table_stats(table: MysteryTable) -> Dict[str, int]:
-    """Count the rule variants across the table's 32 rules."""
-    counts = {rule.value: 0 for rule in CellRule}
-    for rule in table.rules:
-        counts[rule.value] += 1
-    return counts

@@ -22,7 +22,8 @@ patterns and, on a hit, blanks all or part of the newest row:
   stripe patterns.
 
 Draws from the random source are tagged by role (left pad, right pad, or
-mid-row decision) so a run can be recorded and replayed bit for bit.
+mid-row decision), and each row's trace keeps the bits it drew, so a run's
+draws can be read back in order.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 from functools import cache, cached_property
-from typing import List, Optional, Protocol, Sequence, Tuple
+from typing import List, Optional, Protocol, Tuple
 
 from .prng import _check_word, buggy_step
 
@@ -57,14 +58,6 @@ class PostprocessRule(Enum):
 
     CONDITION1 = "condition1"
     CONDITION2 = "condition2"
-
-
-class BitUnderflowError(Exception):
-    """A replayed bit source ran out of recorded bits."""
-
-
-class TraceDesyncError(Exception):
-    """A replayed draw asked for a different kind than was recorded."""
 
 
 # The wall-context table as it sits in the game ROM: one symbol per
@@ -102,12 +95,6 @@ class MysteryTable:
         if len(rules) != 32 or not all(isinstance(rule, CellRule) for rule in rules):
             raise ValueError("table must hold 32 CellRule members, one per context")
         object.__setattr__(self, "rules", rules)
-
-    def rule(self, last_two: int, three_above: int) -> CellRule:
-        if not (isinstance(last_two, int) and isinstance(three_above, int)
-                and 0 <= last_two <= 0b11 and 0 <= three_above <= 0b111):
-            raise ValueError(f"no table context ({last_two!r}, {three_above!r})")
-        return self.rules[(last_two << 3) | three_above]
 
     @cached_property
     def nibbles(self) -> tuple:
@@ -153,41 +140,6 @@ class ModelBitSource:
         return (self.state >> 7) & 1
 
 
-class ReplayBitSource:
-    """Replays a recorded (kind, bit) tape, enforcing kind agreement.
-
-    Raises :class:`TraceDesyncError` when a draw's kind differs from the
-    recording and :class:`BitUnderflowError` when the tape runs out; a
-    record that is not a ``(DrawKind, 0 or 1)`` pair raises ValueError at
-    construction, and the checked tape is kept as a tuple so it cannot
-    change afterwards. ``remaining`` exposes the leftover count so a
-    consumer can confirm a replayed run used every recorded bit.
-    """
-
-    def __init__(self, records: Sequence[Tuple[DrawKind, int]]):
-        self.records = tuple(records)
-        for i, (kind, bit) in enumerate(self.records):
-            if not isinstance(kind, DrawKind) or type(bit) is not int or bit not in (0, 1):
-                raise ValueError(f"record {i} must be a (DrawKind, 0 or 1) pair, got {(kind, bit)!r}")
-        self.position = 0
-
-    @property
-    def remaining(self) -> int:
-        return len(self.records) - self.position
-
-    def draw(self, kind: DrawKind) -> int:
-        if self.position >= len(self.records):
-            raise BitUnderflowError(f"bit underflow after {self.position} draws")
-        recorded_kind, bit = self.records[self.position]
-        if recorded_kind is not kind:
-            raise TraceDesyncError(
-                f"trace desync at draw {self.position}: "
-                f"recorded {recorded_kind.value}, requested {kind.value}"
-            )
-        self.position += 1
-        return bit
-
-
 class SeededBitSource:
     """Independent pseudo-random bits for tests; not the game's generator."""
 
@@ -221,15 +173,6 @@ class RowTrace:
     postprocess_fired: Optional[PostprocessRule] = None
 
 
-def records_from_traces(traces: Sequence[RowTrace]) -> List[Tuple[DrawKind, int]]:
-    """Flatten per-row traces into one replayable tape, in draw order."""
-    out: List[Tuple[DrawKind, int]] = []
-    for trace in traces:
-        out += [(DrawKind.LEFT, trace.left_bit), (DrawKind.RIGHT, trace.right_bit)]
-        out.extend((DrawKind.MID, bit) for bit in trace.mid_bits)
-    return out
-
-
 # Module aliases: the row loop reads a global instead of an enum attribute.
 _LEFT, _RIGHT, _MID = DrawKind.LEFT, DrawKind.RIGHT, DrawKind.MID
 
@@ -259,7 +202,7 @@ def generate_maze(
       if at least 8 kept rows precede it and the kept row 8 back has that
       bit 0 too; only that row is read back.
     """
-    if not isinstance(rows, int) or rows < 1:
+    if type(rows) is not int or rows < 1:  # no bool or other int subclass
         raise ValueError(f"rows must be an int >= 1, got {rows!r}")
     if table is None:
         table = default_table()

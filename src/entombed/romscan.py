@@ -19,7 +19,7 @@ import re
 from dataclasses import dataclass, field
 from functools import cached_property
 from types import MappingProxyType
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple, Union
+from typing import Dict, Iterable, List, Mapping, Tuple, Union
 
 from .cpu import assemble, prng_routine
 
@@ -52,29 +52,6 @@ class SignatureTemplate:
 
     def __len__(self) -> int:
         return len(self.elements)
-
-    @property
-    def slot_count(self) -> int:
-        """Number of wildcard positions (not distinct names)."""
-        return sum(1 for el in self.elements if isinstance(el, str))
-
-    def match_at(self, buf: bytes, offset: int) -> Optional[Dict[str, int]]:
-        """Bindings if the template matches ``buf`` at ``offset``, else None."""
-        if offset < 0 or offset + len(self.elements) > len(buf):
-            return None
-        bindings: Dict[str, int] = {}
-        for i, el in enumerate(self.elements):
-            b = buf[offset + i]
-            if isinstance(el, int):
-                if b != el:
-                    return None
-            else:
-                bound = bindings.get(el)
-                if bound is None:
-                    bindings[el] = b
-                elif bound != b:
-                    return None
-        return bindings
 
     def instantiate(self, bindings: Dict[str, int]) -> bytes:
         """Concrete bytes with every slot filled from ``bindings``."""
@@ -111,15 +88,9 @@ class SignatureTemplate:
         pattern = re.compile(b"".join(parts), re.DOTALL)
         return start, bytes(self.elements[start : start + length]), pattern, tuple(firsts.items())
 
-    def to_text(self) -> str:
-        """Serialize as whitespace-separated ``hh`` / ``?name`` tokens."""
-        return " ".join(
-            f"{el:02x}" if isinstance(el, int) else f"?{el}" for el in self.elements
-        )
-
     @classmethod
     def from_text(cls, text: str) -> "SignatureTemplate":
-        """Parse the :meth:`to_text` format."""
+        """Parse whitespace-separated ``hh`` (fixed byte) and ``?name`` (slot) tokens."""
         elements: List[Element] = []
         for token in text.split():
             if token.startswith("?"):
@@ -179,7 +150,8 @@ def scan_bytes(buf: bytes, sig: SignatureTemplate, source: str = "<bytes>") -> L
     65`` in the PRNG signature), not on its first byte: ``0xA5`` (LDA zp)
     is one of the most common bytes in 6502 code. Each candidate is
     verified with a pattern compiled once per template; the result is
-    identical to trying :meth:`SignatureTemplate.match_at` at every offset.
+    identical to a brute-force match of the template at every offset, the
+    reference the tests check it against.
     """
     hits: List[ScanHit] = []
     anchor_index, anchor, pattern, firsts = sig.plan

@@ -7,7 +7,8 @@ only agree by computing the same thing. It consumes a recorded tape of
 (kind, bit) draws and returns the rows it generates.
 
 Kinds are plain strings here ("left", "right", "mid") to stay decoupled
-from the library's enum; the caller adapts.
+from the library's enum; :func:`tape_from_traces` reads a tape off the
+library's row traces.
 """
 
 # 5-bit wall context -> 1 (wall), 0 (open), None (take a random bit).
@@ -46,6 +47,15 @@ MAGIC = {
     (0b11, 0b110): 0,
     (0b11, 0b111): 0,
 }
+
+
+def tape_from_traces(traces):
+    """The tape a run drew, in draw order, from its per-row traces."""
+    tape = []
+    for trace in traces:
+        tape += [("left", trace.left_bit), ("right", trace.right_bit)]
+        tape += [("mid", bit) for bit in trace.mid_bits]
+    return tape
 
 
 def reference_maze(records, rows):

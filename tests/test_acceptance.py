@@ -13,21 +13,17 @@ not the expected dump.
 import os
 import random
 import time
+from collections import Counter
 
 import pytest
 
 from entombed import cpu, prng
 from entombed.maze_analysis import derived_seed, maze_survey
-from entombed.mazegen import (
-    CellRule,
-    ModelBitSource,
-    default_table,
-    generate_maze,
-    records_from_traces,
-)
+from entombed.mazegen import CellRule, ModelBitSource, default_table, generate_maze
 from entombed.romscan import md5_of, prng_signature, scan_bytes, scan_corpus
 
-from reference_maze import reference_maze
+from reference_maze import reference_maze, tape_from_traces
+from reference_romscan import brute_force_scan
 
 WORDS = 0x10000
 SURVEY_SEED = 1
@@ -158,8 +154,7 @@ def test_criterion_06_maze_reference_equivalence_300k_rows(maze_run):
     leftover_total = 0
     mismatched_mazes = 0
     for rows, traces in maze_run["mazes"]:
-        tape = [(kind.value, bit) for kind, bit in records_from_traces(traces)]
-        pre, post, leftover = reference_maze(tape, 60)
+        pre, post, leftover = reference_maze(tape_from_traces(traces), 60)
         if post != rows or pre != [t.row_before_postprocess for t in traces]:
             mismatched_mazes += 1
         leftover_total += leftover
@@ -178,13 +173,11 @@ def test_criterion_06_maze_reference_equivalence_300k_rows(maze_run):
 def test_criterion_07_table_integrity():
     table = default_table()
     wrong = []
-    for index in range(32):
+    for index in range(32):  # (last_two << 3) | three_above
         expected = _SYMBOL_TO_RULE[_EXPECTED_TABLE[index]]
-        if table.rule(index >> 3, index & 0b111) is not expected:
+        if table.rules[index] is not expected:
             wrong.append(index)
-    from entombed.maze_analysis import table_stats
-
-    stats = table_stats(table)
+    stats = dict(Counter(rule.value for rule in table.rules))
     stats_ok = stats == {"wall": 11, "open": 13, "random": 8}
     ok = not wrong and stats_ok
     _report(7, ok, f"32 table entries verified, {len(wrong)} wrong; stats {stats}")
@@ -234,17 +227,6 @@ def test_criterion_11_scanner_soundness_and_completeness():
     sig = prng_signature()
     siglen = len(sig)
 
-    def brute_force(buf):
-        first = sig.elements[0]
-        found = []
-        for offset in range(len(buf) - siglen + 1):
-            if buf[offset] != first:
-                continue
-            bindings = sig.match_at(buf, offset)
-            if bindings is not None:
-                found.append((offset, bindings))
-        return found
-
     missed = 0
     wrong_bindings = 0
     for _ in range(1000):
@@ -264,7 +246,7 @@ def test_criterion_11_scanner_soundness_and_completeness():
     clean_buffers = 0
     while clean_buffers < 200:
         noise = rng.randbytes(4096)
-        if brute_force(noise):
+        if brute_force_scan(noise, sig):
             continue  # astronomically unlikely; regenerate to keep the contract
         clean_buffers += 1
         false_positives += len(scan_bytes(noise, sig))

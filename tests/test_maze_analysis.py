@@ -10,12 +10,9 @@ from entombed.maze_analysis import (
     Grid,
     PatternStats,
     derived_seed,
-    expand_row,
     is_solvable,
     maze_survey,
-    parse_row,
     render_row,
-    table_stats,
 )
 from entombed.mazegen import (
     CellRule,
@@ -34,21 +31,21 @@ class Byte(int):
 
 class TestExpandRow:
     def test_empty_row(self):
-        cells = expand_row(0x00)
+        cells = SCREEN_ROWS[0x00]
         walls = {i for i, c in enumerate(cells) if c}
         assert walls == {0, 1, 2, 3, 36, 37, 38, 39}
 
     def test_full_row(self):
-        assert expand_row(0xFF) == tuple([1] * 40)
+        assert SCREEN_ROWS[0xFF] == tuple([1] * 40)
 
     def test_single_leftmost_bit(self):
-        cells = expand_row(0x80)
+        cells = SCREEN_ROWS[0x80]
         walls = {i for i, c in enumerate(cells) if c}
         assert walls == {0, 1, 2, 3, 4, 5, 34, 35, 36, 37, 38, 39}
 
     def test_structure_holds_for_every_row_value(self):
-        for row in range(0x100):
-            cells = expand_row(row)
+        assert len(SCREEN_ROWS) == 0x100
+        for cells in SCREEN_ROWS:
             assert len(cells) == 40
             assert cells[:4] == (1, 1, 1, 1) and cells[36:] == (1, 1, 1, 1)
             assert all(cells[39 - j] == cells[j] for j in range(20))
@@ -56,9 +53,8 @@ class TestExpandRow:
 
     def test_range_check(self):
         for bad in (0x100, -1, 1.5, "1", True, False, Byte(1)):
-            for read in (expand_row, render_row):
-                with pytest.raises(ValueError, match="row must be an 8-bit value"):
-                    read(bad)
+            with pytest.raises(ValueError, match="row must be an 8-bit value"):
+                render_row(bad)
 
 
 class TestRenderRow:
@@ -68,45 +64,15 @@ class TestRenderRow:
     def test_empty_row(self):
         assert render_row(0x00) == "XXXX________________ ________________XXXX"
 
-    def test_render_parse_identity_all_values(self):
-        for row in range(0x100):
-            line = render_row(row)
-            assert len(line) == 41
-            assert parse_row(line) == row
-
-    def test_parse_rejects_malformed_lines(self):
-        with pytest.raises(ValueError):
-            parse_row("X" * 41)
-        with pytest.raises(ValueError):
-            parse_row(render_row(0x12)[:-1])
-        with pytest.raises(ValueError):
-            parse_row("XXXX_X______________ ______________X_XXXX")
-
-    def test_parse_rejects_every_substitution_truncation_and_extension(self):
-        for row in range(0x100):
-            line = render_row(row)
-            for i, old in enumerate(line):
-                for new in "X_ ".replace(old, ""):
-                    with pytest.raises(ValueError):
-                        parse_row(line[:i] + new + line[i + 1 :])
-            for bad in [line[:end] for end in range(len(line))] + [line + c for c in "X_ "]:
-                with pytest.raises(ValueError):
-                    parse_row(bad)
-
 
 class TestGrid:
-    def test_from_rows_shape(self):
-        grid = Grid.from_rows([0x00, 0xFF])
-        assert grid.width == 40
-        assert grid.height == 2
-
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             Grid([])
 
     @pytest.mark.parametrize(
         "bad",
-        [0x100, -1, 1.0, "1", None, expand_row(0x5A), True, False, Byte(1)],
+        [0x100, -1, 1.0, "1", None, SCREEN_ROWS[0x5A], True, False, Byte(1)],
         ids=["0x100", "-1", "1.0", "str", "None", "screen-row", "True", "False", "int-subclass"],
     )
     def test_rejects_a_row_that_is_not_an_8_bit_int(self, bad):
@@ -114,23 +80,16 @@ class TestGrid:
             Grid.from_rows([0x00, bad])
 
     def test_rejects_structural_violations(self):
-        cells = list(expand_row(0x00))
+        cells = list(SCREEN_ROWS[0x00])
         cells[5] = 1  # break the doubled pair (4,5)
         with pytest.raises(ValueError, match="grid row 0 "):
             Grid([tuple(cells)])
 
-    def test_accepts_every_screen_row(self):
-        grid = Grid(range(256))
-        assert grid.height == 256
-        assert grid.cells == SCREEN_ROWS
-        assert grid.cells is grid.cells  # the oracle reads cells[r][c] cell by cell
-
     def test_rejects_every_single_cell_flip(self):
         # No 40-cell row one flip away from a screen row is itself a screen
-        # row, so no Grid's cells can hold one, and none is accepted as a row.
+        # row, and none is accepted as a row.
         screen_rows = set(SCREEN_ROWS)
-        for row in range(0x100):
-            cells = expand_row(row)
+        for cells in SCREEN_ROWS:
             for i in range(40):
                 flipped = cells[:i] + (1 - cells[i],) + cells[i + 1 :]
                 assert flipped not in screen_rows
@@ -140,7 +99,6 @@ class TestGrid:
     def test_rows_are_the_rows_each_screen_row_stands_for(self):
         grid = Grid(range(256))
         assert grid.rows == tuple(range(256))
-        assert all(grid.cells[row] == expand_row(row) for row in grid.rows)
         assert Grid.from_rows([0x12, 0xFF, 0x00]).rows == (0x12, 0xFF, 0x00)
 
     def test_cannot_be_changed_after_construction(self):
@@ -148,11 +106,9 @@ class TestGrid:
         # them later; a reassigned row used to reach is_solvable unchecked.
         g = Grid.from_rows([0, 0])
         with pytest.raises(dataclasses.FrozenInstanceError):
-            g.cells = [(0,) * 40, (0,) * 40]
-        with pytest.raises(dataclasses.FrozenInstanceError):
             g.rows = (0xFF, 0xFF)
         with pytest.raises(TypeError):
-            g.cells[0] = (0,) * 40
+            g.rows[0] = 0xFF
         assert g.rows == (0, 0)
         assert is_solvable(g).solvable
 
@@ -166,7 +122,8 @@ class TestGrid:
 
 def union_find_solvable(grid: Grid) -> bool:
     """Independent connectivity oracle: union-find with virtual endpoints."""
-    width, height = grid.width, grid.height
+    cells = [SCREEN_ROWS[row] for row in grid.rows]
+    width, height = 40, len(cells)
     top, bottom = width * height, width * height + 1
     parent = list(range(width * height + 2))
 
@@ -183,47 +140,26 @@ def union_find_solvable(grid: Grid) -> bool:
 
     for r in range(height):
         for c in range(width):
-            if grid.cells[r][c]:
+            if cells[r][c]:
                 continue
             idx = r * width + c
             if r == 0:
                 union(idx, top)
             if r == height - 1:
                 union(idx, bottom)
-            if r + 1 < height and grid.cells[r + 1][c] == 0:
+            if r + 1 < height and cells[r + 1][c] == 0:
                 union(idx, (r + 1) * width + c)
-            if c + 1 < width and grid.cells[r][c + 1] == 0:
+            if c + 1 < width and cells[r][c + 1] == 0:
                 union(idx, r * width + c + 1)
     return find(top) == find(bottom)
 
 
 class TestSolvability:
     def test_open_corridor(self):
-        report = is_solvable(Grid.from_rows([0x00] * 10))
-        assert report.solvable
-        assert report.witness_path is not None
+        assert is_solvable(Grid.from_rows([0x00] * 10)).solvable
 
     def test_full_row_blocks(self):
-        report = is_solvable(Grid.from_rows([0x00] * 5 + [0xFF] + [0x00] * 5))
-        assert not report.solvable
-        assert report.witness_path is None
-
-    def test_witness_path_is_a_valid_walk(self):
-        rng = random.Random(3)
-        checked = 0
-        while checked < 40:
-            grid = Grid.from_rows([rng.randrange(0x100) for _ in range(20)])
-            report = is_solvable(grid)
-            if not report.solvable:
-                continue
-            checked += 1
-            path = report.witness_path
-            assert path[0][0] == 0
-            assert path[-1][0] == grid.height - 1
-            for (r, c) in path:
-                assert grid.cells[r][c] == 0
-            for (r1, c1), (r2, c2) in zip(path, path[1:]):
-                assert abs(r1 - r2) + abs(c1 - c2) == 1
+        assert not is_solvable(Grid.from_rows([0x00] * 5 + [0xFF] + [0x00] * 5)).solvable
 
     def test_agrees_with_union_find_on_random_grids(self):
         rng = random.Random(7)
@@ -237,23 +173,6 @@ class TestSolvability:
             ]
             grid = Grid.from_rows(rows)
             assert is_solvable(grid).solvable == union_find_solvable(grid)
-
-    def test_verdict_never_reads_the_screen_cells(self):
-        class RowsOnly(Grid):
-            @property
-            def cells(self):
-                raise AssertionError("the verdict read grid.cells")
-
-        solvable = is_solvable(RowsOnly.from_rows([0x00] * 60))
-        assert solvable.solvable
-        unsolvable = is_solvable(RowsOnly.from_rows([0x00] * 5 + [0xFF]))
-        assert not unsolvable.solvable
-        assert unsolvable.witness_path is None
-
-    def test_witness_is_searched_once_and_kept(self):
-        report = is_solvable(Grid.from_rows([0x81, 0x00, 0x3C]))
-        assert report.witness_path is report.witness_path
-        assert report.witness_path[-1][0] == 2
 
     def test_single_row_grid(self):
         assert is_solvable(Grid.from_rows([0x00])).solvable
@@ -336,11 +255,6 @@ class TestSerpentines:
         rows[-1] = 0xFF
         grid = Grid.from_rows(rows)
         assert is_solvable(grid).solvable == union_find_solvable(grid) is False
-
-    @pytest.mark.parametrize("name", sorted(SERPENTINES))
-    def test_witness_climbs(self, name):
-        path = is_solvable(Grid.from_rows(_folded(SERPENTINES[name]))).witness_path
-        assert any(r2 < r1 for (r1, _), (r2, _) in zip(path, path[1:]))
 
 
 def reference_surveys(n_mazes, rows_per_maze=60, *, seed, table=None):
@@ -446,10 +360,10 @@ class TestSurvey:
     def test_n_mazes_must_be_positive(self):
         with pytest.raises(ValueError):
             maze_survey(0, seed=1)
-        for n_mazes in (1.5, 5.0, "5", None):
+        for n_mazes in (1.5, 5.0, "5", None, True, False, Byte(5)):
             with pytest.raises(ValueError, match="n_mazes must be an int"):
                 maze_survey(n_mazes, seed=1)
-        for rows_per_maze in (0, 2.5, 60.0, "60"):
+        for rows_per_maze in (0, 2.5, 60.0, "60", True, False, Byte(60)):
             with pytest.raises(ValueError, match="rows must be an int"):
                 maze_survey(5, rows_per_maze, seed=1)
 
@@ -472,15 +386,3 @@ class TestDerivedSeed:
         for seed in (0, 1, 0xFF00, 0xFFFF):
             for index in (0, 1, 255, 0xFFFF):
                 assert derived_seed(seed, index + 0x10000) == derived_seed(seed, index)
-
-
-class TestTableStats:
-    def test_default_table_counts(self):
-        assert table_stats(default_table()) == {"wall": 11, "open": 13, "random": 8}
-
-    def test_counts_sum_to_32(self):
-        assert sum(table_stats(default_table()).values()) == 32
-
-    def test_all_wall_table(self):
-        table = MysteryTable((CellRule.WALL,) * 32)
-        assert table_stats(table) == {"wall": 32, "open": 0, "random": 0}

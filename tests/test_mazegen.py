@@ -12,37 +12,48 @@ import pytest
 
 import entombed.mazegen
 from entombed.mazegen import (
-    BitUnderflowError,
     CellRule,
     ConstantBitSource,
     DrawKind,
     ModelBitSource,
     MysteryTable,
     PostprocessRule,
-    ReplayBitSource,
     SeededBitSource,
-    TraceDesyncError,
     default_table,
     generate_maze,
-    records_from_traces,
 )
 
-from reference_maze import reference_maze
+from reference_maze import reference_maze, tape_from_traces
 from reference_mazegen import generate_row, postprocess
 
-L, R, M = DrawKind.LEFT, DrawKind.RIGHT, DrawKind.MID
+L, R, M = "left", "right", "mid"  # a tape's kinds, as reference_maze reads them
 
 
-def replay(*bits):
-    return ReplayBitSource(list(bits))
+class Replay:
+    """Draws a recorded ``(kind, bit)`` tape in order and fails on a draw of
+    another kind, so a replayed run also checks the draw order."""
+
+    def __init__(self, tape):
+        self.tape = list(tape)
+        self.used = 0
+
+    def draw(self, kind):
+        recorded, bit = self.tape[self.used]
+        assert recorded == kind.value, f"draw {self.used} is {kind.value}, recorded {recorded}"
+        self.used += 1
+        return bit
+
+
+class Count(int):
+    """An int subclass, which a count must not be."""
 
 
 class TestTable:
     def test_spot_entries(self):
         table = default_table()
-        assert table.rule(0b00, 0b000) is CellRule.WALL
-        assert table.rule(0b11, 0b111) is CellRule.OPEN
-        assert table.rule(0b00, 0b011) is CellRule.RANDOM
+        assert table.rules[(0b00 << 3) | 0b000] is CellRule.WALL
+        assert table.rules[(0b11 << 3) | 0b111] is CellRule.OPEN
+        assert table.rules[(0b00 << 3) | 0b011] is CellRule.RANDOM
 
     def test_exactly_32_entries(self):
         assert len(default_table().rules) == 32
@@ -78,7 +89,7 @@ class TestTable:
         table = MysteryTable(rules)
         rules[0] = CellRule.OPEN
         assert type(table.rules) is tuple
-        assert table.rule(0b00, 0b000) is CellRule.WALL
+        assert table.rules[0] is CellRule.WALL
 
     def test_equal_tables_hash_equal(self):
         a, b = default_table(), MysteryTable(list(default_table().rules))
@@ -89,37 +100,30 @@ class TestTable:
         other[0] = CellRule.OPEN
         assert len({a, MysteryTable(other)}) == 2
 
-    @pytest.mark.parametrize(
-        "last_two, three_above", [(4, 0), (-1, 0), (0, 8), (0, -1), (1.0, 0), (0, "1"), (None, 0)]
-    )
-    def test_rule_outside_the_table(self, last_two, three_above):
-        with pytest.raises(ValueError, match="no table context"):
-            default_table().rule(last_two, three_above)
-
 
 class TestGenerateRow:
     def test_blank_row_no_pad_bits(self):
         # context stays in the wall/random alternation; two mid draws of 0
-        row, trace = generate_row([0x00], replay((L, 0), (R, 0), (M, 0), (M, 0)), default_table())
+        row, trace = generate_row([0x00], Replay([(L, 0), (R, 0), (M, 0), (M, 0)]), default_table())
         assert row == 0xDB
         assert trace.mid_bits == [0, 0]
 
     def test_blank_row_all_ones_draws(self):
         row, trace = generate_row(
-            [0x00], replay((L, 1), (R, 1), (M, 1), (M, 1), (M, 1), (M, 1)), default_table()
+            [0x00], Replay([(L, 1), (R, 1), (M, 1), (M, 1), (M, 1), (M, 1)]), default_table()
         )
         assert row == 0x7E
         assert trace.mid_bits == [1, 1, 1, 1]
 
     def test_right_pad_bit_can_be_absorbed(self):
         # both (01,001) and (01,000) map to wall, so the right bit changes nothing
-        row, _ = generate_row([0x00], replay((L, 0), (R, 1), (M, 0), (M, 0)), default_table())
+        row, _ = generate_row([0x00], Replay([(L, 0), (R, 1), (M, 0), (M, 0)]), default_table())
         assert row == 0xDB
 
     def test_draw_order_is_left_right_then_mids(self):
-        source = replay((L, 0), (R, 0), (M, 0), (M, 0))
+        source = Replay([(L, 0), (R, 0), (M, 0), (M, 0)])
         generate_row([0x00], source, default_table())
-        assert source.remaining == 0
+        assert source.used == len(source.tape)
 
     def test_history_must_be_non_empty(self):
         with pytest.raises(ValueError):
@@ -138,7 +142,7 @@ class TestGenerateRow:
             expected_mids = 0
             bit_index = 0
             for i in range(7, -1, -1):
-                rule = table.rule(last_two, (padded >> i) & 0b111)
+                rule = table.rules[(last_two << 3) | ((padded >> i) & 0b111)]
                 if rule is CellRule.RANDOM:
                     bit = trace.mid_bits[expected_mids]
                     expected_mids += 1
@@ -265,42 +269,11 @@ def nibble_list_postprocess(history):
 
 
 class TestSources:
-    def test_replay_exhaustion_faults(self):
-        source = replay((L, 0))
-        source.draw(L)
-        with pytest.raises(BitUnderflowError):
-            source.draw(R)
-
-    def test_replay_kind_mismatch_faults(self):
-        source = replay((L, 0), (M, 1))
-        source.draw(L)
-        with pytest.raises(TraceDesyncError):
-            source.draw(R)
-
-    @pytest.mark.parametrize("bit", [2, -1, True, 1.0, "1", None])
-    def test_replay_takes_only_the_ints_0_and_1(self, bit):
-        tape = [(L, 0), (R, 1), (M, 0), (M, bit)] + [(M, 0)] * 6
-        with pytest.raises(ValueError, match="record 3 "):
-            ReplayBitSource(tape)
-
-    @pytest.mark.parametrize("kind", ["left", None, 0])
-    def test_replay_takes_only_draw_kinds(self, kind):
-        with pytest.raises(ValueError, match="record 1 "):
-            ReplayBitSource([(L, 0), (kind, 1)])
-
-    def test_replay_tape_cannot_change_after_the_check(self):
-        tape = [(L, 0)]
-        source = ReplayBitSource(tape)
-        tape.append((R, 2))
-        assert source.remaining == 1
-        with pytest.raises(AttributeError):
-            source.records.append((R, 2))
-
     def test_model_source_is_deterministic(self):
         a = ModelBitSource(0x1234)
         b = ModelBitSource(0x1234)
-        bits_a = [a.draw(M) for _ in range(64)]
-        bits_b = [b.draw(M) for _ in range(64)]
+        bits_a = [a.draw(DrawKind.MID) for _ in range(64)]
+        bits_b = [b.draw(DrawKind.MID) for _ in range(64)]
         assert bits_a == bits_b
         assert set(bits_a) == {0, 1}
 
@@ -328,7 +301,7 @@ class TestGenerateMaze:
     def test_rows_must_be_positive(self):
         with pytest.raises(ValueError):
             generate_maze(ModelBitSource(1), 0)
-        for rows in (2.5, 60.0, "60", None):
+        for rows in (2.5, 60.0, "60", None, True, False, Count(60)):
             with pytest.raises(ValueError, match="rows must be an int"):
                 generate_maze(ModelBitSource(1), rows)
 
@@ -339,16 +312,16 @@ class TestGenerateMaze:
 
     def test_identical_streams_identical_mazes(self):
         rows_a, traces = generate_maze(ModelBitSource(0xBEEF), 60)
-        tape = records_from_traces(traces)
-        rows_b, traces_b = generate_maze(ReplayBitSource(tape), 60)
+        tape = tape_from_traces(traces)
+        rows_b, traces_b = generate_maze(Replay(tape), 60)
         assert rows_a == rows_b
-        assert records_from_traces(traces_b) == tape
+        assert tape_from_traces(traces_b) == tape
 
     def test_record_replay_round_trip_consumes_everything(self):
         _, traces = generate_maze(ModelBitSource(7), 60)
-        source = ReplayBitSource(records_from_traces(traces))
+        source = Replay(tape_from_traces(traces))
         generate_maze(source, 60)
-        assert source.remaining == 0
+        assert source.used == len(source.tape)
 
     def test_traces_expose_postprocess_fires(self):
         # seeds known to fire each rule within 60 rows
@@ -362,8 +335,7 @@ class TestAgainstReference:
     def test_reference_agrees_on_model_runs(self):
         for seed in (1, 2, 0xB5B5, 0x00FF):
             rows, traces = generate_maze(ModelBitSource(seed), 60)
-            tape = [(kind.value, bit) for kind, bit in records_from_traces(traces)]
-            pre, post, leftover = reference_maze(tape, 60)
+            pre, post, leftover = reference_maze(tape_from_traces(traces), 60)
             assert post == rows
             assert pre == [t.row_before_postprocess for t in traces]
             assert leftover == 0
@@ -373,8 +345,7 @@ class TestAgainstReference:
         for _ in range(30):
             source = SeededBitSource(rng.randrange(1 << 30))
             rows, traces = generate_maze(source, 60)
-            tape = [(kind.value, bit) for kind, bit in records_from_traces(traces)]
-            pre, post, leftover = reference_maze(tape, 60)
+            pre, post, leftover = reference_maze(tape_from_traces(traces), 60)
             assert post == rows
             assert leftover == 0
 
@@ -436,39 +407,39 @@ class TestRunCounters:
             for seed in range(40):
                 self.assert_same(lambda: SeededBitSource(seed), rows)
             self.assert_same(lambda: ConstantBitSource(1), rows, ALL_WALL)
-            self.assert_same(lambda: ReplayBitSource(random_table_tape([0x02] * rows)), rows, ALL_RANDOM)
+            self.assert_same(lambda: Replay(random_table_tape([0x02] * rows)), rows, ALL_RANDOM)
 
     def test_condition1_on_exactly_the_eleventh_row_in_range(self):
         rows = [0x80, 0x20] + [0x70] * 9 + [0x10, 0x40]
-        traces = self.assert_same(lambda: ReplayBitSource(random_table_tape(rows)), len(rows), ALL_RANDOM)
+        traces = self.assert_same(lambda: Replay(random_table_tape(rows)), len(rows), ALL_RANDOM)
         assert self.fired_at(traces) == {11: C1}
 
     def test_condition1_fires_again_after_eleven_more_rows(self):
         rows = [0x30] * 22
-        traces = self.assert_same(lambda: ReplayBitSource(random_table_tape(rows)), len(rows), ALL_RANDOM)
+        traces = self.assert_same(lambda: Replay(random_table_tape(rows)), len(rows), ALL_RANDOM)
         assert self.fired_at(traces) == {10: C1, 21: C1}
 
     def test_condition2_with_exactly_nine_rows_in_the_window(self):
         # the blank first row is the comparator, with bit 0 clear
-        traces = self.assert_same(lambda: ReplayBitSource(random_table_tape([0x02] * 8)), 8, ALL_RANDOM)
+        traces = self.assert_same(lambda: Replay(random_table_tape([0x02] * 8)), 8, ALL_RANDOM)
         assert self.fired_at(traces) == {7: C2}
-        traces = self.assert_same(lambda: ReplayBitSource(random_table_tape([0x01] * 8)), 8, ALL_RANDOM)
+        traces = self.assert_same(lambda: Replay(random_table_tape([0x01] * 8)), 8, ALL_RANDOM)
         assert self.fired_at(traces) == {}
 
     def test_condition2_ignores_the_row_between_comparator_and_run(self):
         rows = [0x01, 0x00] + [0x01] * 7
-        traces = self.assert_same(lambda: ReplayBitSource(random_table_tape(rows)), len(rows), ALL_RANDOM)
+        traces = self.assert_same(lambda: Replay(random_table_tape(rows)), len(rows), ALL_RANDOM)
         assert self.fired_at(traces) == {8: C2}
 
     def test_condition2_misses_when_only_the_comparator_differs(self):
         # row 8 misses on row 0's bit 0; row 9 compares with row 1 and fires
         rows = [0x02] + [0x01] * 9
-        traces = self.assert_same(lambda: ReplayBitSource(random_table_tape(rows)), len(rows), ALL_RANDOM)
+        traces = self.assert_same(lambda: Replay(random_table_tape(rows)), len(rows), ALL_RANDOM)
         assert self.fired_at(traces) == {9: C2}
 
     def test_all_wall_table(self):
         tape = [(kind, 1) for _ in range(30) for kind in (L, R)]
-        traces = self.assert_same(lambda: ReplayBitSource(tape), 30, ALL_WALL)
+        traces = self.assert_same(lambda: Replay(tape), 30, ALL_WALL)
         assert set(self.fired_at(traces).values()) == {C2}
 
 

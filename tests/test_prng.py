@@ -1,5 +1,7 @@
 """Tests for the buggy and corrected step functions and the orbit analyses."""
 
+import dataclasses
+
 import pytest
 
 from entombed import prng
@@ -168,7 +170,27 @@ def _low_byte_square_plus_one(state):
 
 # Both sides of the buggy generator's tail (max 451) and orbit (max 1201
 # values) boundaries, and of the full period 65536.
-SURVEY_STEPS = [1, 2, 450, 451, 452, 1199, 1200, 1201, 1202, 65535, 65536, 65537]
+FULL_PERIOD = [65535, 65536, 65537]
+SURVEY_STEPS = [1, 2, 450, 451, 452, 1199, 1200, 1201, 1202] + FULL_PERIOD
+
+
+@pytest.fixture(scope="module")
+def correct_step_walks():
+    """One walk per canonical seed to the longest horizon, which the correct
+    generator's full-period cases share instead of walking 65536 states thrice."""
+    return [orbit_survey(prng.canonical_seed(b), max(FULL_PERIOD), prng.correct_step) for b in range(256)]
+
+
+def _at_horizon(walk, steps):
+    """What orbit_survey reports after ``steps``, read off a walk at least that long.
+
+    The walk stops at its first revisit, at step ``distinct_values``; a
+    horizon from there on reads the same walk, and a shorter one revisits
+    nothing.
+    """
+    if walk.distinct_values <= steps:
+        return dataclasses.replace(walk, steps=steps)
+    return prng.OrbitStats(walk.seed, steps, steps + 1, False)
 
 
 class TestCanonicalSeedSurvey:
@@ -176,8 +198,12 @@ class TestCanonicalSeedSurvey:
     @pytest.mark.parametrize(
         "step", [prng.buggy_step, prng.correct_step, _low_byte_square_plus_one]
     )
-    def test_matches_walking_oracle(self, step, steps):
-        walked = [orbit_survey(prng.canonical_seed(b), steps, step) for b in range(256)]
+    def test_matches_walking_oracle(self, step, steps, request):
+        if step is prng.correct_step and steps in FULL_PERIOD:
+            walks = request.getfixturevalue("correct_step_walks")
+            walked = [_at_horizon(walk, steps) for walk in walks]
+        else:
+            walked = [orbit_survey(prng.canonical_seed(b), steps, step) for b in range(256)]
         assert prng.canonical_seed_survey(steps, step) == walked
 
     @pytest.mark.parametrize("steps", [0, -1, 2.5])

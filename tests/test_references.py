@@ -19,6 +19,7 @@ FORBIDDEN = {
     },
     "reference_prng": {"rho_decomposition", "canonical_seed_survey"},
     "reference_mazegen": {"generate_maze", "nibbles", "_nibble", "_next_row"},
+    "reference_romscan": {"scan_bytes", "plan", "match_at"},
 }
 
 
