@@ -4,8 +4,8 @@ The package covers three things the game is known for:
 
 * its pseudo-random number generator, which was meant to be the LCG
   ``next = (5 * state + 1) mod 65536`` but ships with a carry-propagation
-  defect (:mod:`entombed.prng`), plus a minimal 6502 interpreter that
-  executes the original routine instruction by instruction as ground truth
+  defect (:mod:`entombed.prng`), plus the original 6502 routine as data,
+  compiled to straight-line Python and run as ground truth
   (:mod:`entombed.cpu`);
 * the table-driven, row-streaming maze generator and its two
   pattern-breaking postprocessing rules (:mod:`entombed.mazegen`), with

@@ -1,20 +1,20 @@
-"""A deliberately tiny 6502 interpreter: just enough to run the PRNG routine.
+"""The game's PRNG routine as data: compiled to run it, assembled to find it.
 
 Entombed's generator is 21 instructions of straight-line 6502 code using
 nine instruction forms (zero-page load/store/add/increment/rotate,
 immediate load, accumulator shift, clear-carry, return). This module
-models exactly that repertoire, instruction by instruction, so the
-arithmetic in :mod:`entombed.prng` can be checked against what the silicon
-would actually do, including the carry-flag behaviour responsible for the
-bug. No other flags are modelled; the routine never branches and never
-reads them. Decimal mode is assumed off, as it is in the game.
+models exactly that repertoire, so the arithmetic in :mod:`entombed.prng`
+can be checked against what the silicon would actually do, including the
+carry-flag behaviour responsible for the bug. No other flags are
+modelled; the routine never branches and never reads them. Decimal mode
+is assumed off, as it is in the game.
 
 A concrete routine is compiled by :func:`_compile`, up to its first RTS,
 into one straight-line Python function per carry mode, whose locals are
 the zero-page cells it touches, named by address. Each routine keeps both
-on itself, built on first read (:attr:`Routine.compiled`), so
-:func:`execute` finds them without hashing the routine, and
-:func:`oracle_prng_step` runs the game's routine the same way.
+on itself, built on first read (:attr:`Routine.compiled`), and that is
+the only way a routine runs: :func:`oracle_prng_step` runs the game's
+routine through it.
 
 The same instruction list doubles as the source for the byte signature
 used by :mod:`entombed.romscan`: assembling the routine with named cell
@@ -24,12 +24,11 @@ matches the routine wherever a game placed its state variables.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from operator import index
-from types import MappingProxyType
-from typing import Callable, Dict, List, Mapping, Tuple, Union
+from typing import Callable, Dict, List, Tuple, Union
 
 from .prng import _check_word
 
@@ -52,10 +51,6 @@ class Mnemonic(Enum):
 
 # Implied/accumulator forms take no operand; every other form takes one byte.
 IMPLIED = frozenset({Mnemonic.ASL_A, Mnemonic.CLC, Mnemonic.RTS})
-
-
-class UnmappedCellError(Exception):
-    """A routine touched a zero-page cell the machine does not map."""
 
 
 @dataclass(frozen=True)
@@ -102,32 +97,6 @@ class Routine:
     def compiled(self) -> Tuple[Tuple[Callable, Tuple[int, ...]], ...]:
         """:func:`_compile`'s ``(run, cells)``, indexed by carry mode; built on first read."""
         return (_compile(self, False), _compile(self, True))
-
-
-@dataclass(frozen=True)
-class MicroMachine:
-    """Accumulator, carry flag and a handful of addressable byte cells.
-
-    A value: fields cannot be reassigned and ``mem`` is a read-only view of
-    a copy, so the range checks hold for the machine's whole lifetime.
-    :func:`execute` returns a new machine.
-    """
-
-    acc: int = 0
-    carry: int = 0
-    mem: Mapping[int, int] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        mem = MappingProxyType(dict(self.mem))
-        fields = [("acc", self.acc, 0xFF), ("carry", self.carry, 1)]
-        for addr, value in mem.items():
-            fields += [("cell address", addr, 0xFF), (f"cell {addr!r} value", value, 0xFF)]
-        for name, value, top in fields:
-            if type(value) is not int:  # a bool or another int subclass is not a byte
-                raise ValueError(f"{name} must be an int, got {value!r}")
-            if not 0 <= value <= top:
-                raise ValueError(f"{name} out of range(0, {top + 1}): {value!r}")
-        object.__setattr__(self, "mem", mem)
 
 
 def prng_routine(w: Operand, x: Operand, y: Operand, z: Operand) -> Routine:
@@ -211,26 +180,7 @@ def _compile(routine: Routine, inc_sets_carry: bool) -> Tuple[Callable, Tuple[in
     return namespace["run"], tuple(cells)
 
 
-def execute(machine: MicroMachine, routine: Routine, inc_sets_carry: bool = False) -> MicroMachine:
-    """Run the routine to its RTS and return the resulting machine.
-
-    ``inc_sets_carry`` selects the increment's carry behaviour: False is
-    the real 6502 (INC leaves carry untouched), True is the counterfactual
-    fix where INC sets carry exactly when the cell wraps to zero. A cell
-    the routine touches but the machine does not map faults before
-    anything runs; the code never branches and runs on a copy, so this
-    looks the same as faulting just before the instruction.
-    """
-    run, cells = routine.compiled[bool(inc_sets_carry)]
-    mem = machine.mem
-    for addr in cells:
-        if addr not in mem:
-            raise UnmappedCellError(f"unmapped cell ${addr:02x}")
-    acc, carry, *values = run(machine.acc, machine.carry, *[mem[addr] for addr in cells])
-    return MicroMachine(acc=acc, carry=carry, mem={**mem, **dict(zip(cells, values))})
-
-
-# The game's own cell assignments; any four mapped cells give the same result.
+# The game's own cell assignments; any four distinct cells give the same result.
 W_CELL, X_CELL, Y_CELL, Z_CELL = 0xDD, 0xDE, 0xDF, 0xE0
 
 _ORACLE_ROUTINE = prng_routine(W_CELL, X_CELL, Y_CELL, Z_CELL)  # touches W, Y, X, Z in that order

@@ -126,9 +126,11 @@ class ModelBitSource:
     it strictly alternates every step.)
 
     The low byte steps on its own, ``(5 * low + 1) & 0xFF`` under either
-    generator, so the draws cycle with period 256 and the seed only picks
-    the phase ``seed & 0xFF``: seeds that share a low byte draw the same
-    bits, and no draw shows the carry defect.
+    generator: a full-period LCG mod 2^8 by Hull-Dobell (Knuth, TAOCP
+    Vol. 2, 3.2.1.2). Bit k of an LCG mod a power of two has period
+    2^(k+1) (3.2.1.1, 3.6), so the draws cycle with period exactly 256 and
+    the seed only picks the phase ``seed & 0xFF``: seeds that share a low
+    byte draw the same bits, and no draw shows the carry defect.
     """
 
     def __init__(self, seed: int):

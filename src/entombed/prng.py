@@ -72,7 +72,7 @@ def buggy_step(state: int) -> int:
 
 def canonical_seed(b: int) -> int:
     """Build a seed the way the game does: one byte duplicated into both halves."""
-    if not isinstance(b, int) or not 0 <= b <= 0xFF:
+    if type(b) is not int or not 0 <= b <= 0xFF:  # no bool or other int subclass
         raise ValueError(f"seed byte must be in [0, 255], got {b!r}")
     return (b << 8) | b
 
@@ -212,7 +212,7 @@ def canonical_seed_survey(
     values and has not returned. For :func:`correct_step` every seed comes
     back after 65536 steps, as Hull-Dobell predicts (see its docstring).
     """
-    if not isinstance(steps, int) or steps < 1:
+    if type(steps) is not int or steps < 1:  # no bool or other int subclass
         raise ValueError(f"steps must be an int >= 1, got {steps!r}")
     rho = rho_decomposition(step)
     surveys = []

@@ -53,21 +53,6 @@ class SignatureTemplate:
     def __len__(self) -> int:
         return len(self.elements)
 
-    def instantiate(self, bindings: Dict[str, int]) -> bytes:
-        """Concrete bytes with every slot filled from ``bindings``."""
-        out = bytearray()
-        for el in self.elements:
-            if isinstance(el, int):
-                out.append(el)
-            else:
-                if el not in bindings:
-                    raise ValueError(f"no binding for slot {el!r}")
-                value = bindings[el]
-                if not 0 <= value <= 0xFF:
-                    raise ValueError(f"binding {el!r}={value!r} out of byte range")
-                out.append(value)
-        return bytes(out)
-
     @cached_property
     def plan(self):
         """Anchor index and bytes (the first longest fixed run), verifier, slot first indices."""

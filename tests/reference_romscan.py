@@ -10,9 +10,17 @@ from entombed.romscan import SignatureTemplate
 
 
 def brute_force_scan(buf: bytes, sig: SignatureTemplate):
-    """Reference matcher: try every offset, no anchoring, no shortcuts."""
+    """Reference matcher: try every offset, with no ``find`` and no anchor.
+
+    A fixed first element is tested before anything else at each offset,
+    as the element loop would test it first, so most offsets stop there.
+    """
+    first = sig.elements[0]
+    first_is_fixed = isinstance(first, int)
     hits = []
     for offset in range(len(buf) - len(sig.elements) + 1):
+        if first_is_fixed and buf[offset] != first:
+            continue
         bindings = {}
         ok = True
         for i, el in enumerate(sig.elements):

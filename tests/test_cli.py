@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from entombed import __version__, cli, prng, romscan
+from entombed import __version__, cli, cpu, prng, romscan
 
 
 def run_cli(capsys, *argv):
@@ -169,8 +169,7 @@ class TestScan:
     @pytest.fixture()
     def corpus(self, tmp_path):
         rng = random.Random(200)
-        sig = romscan.prng_signature()
-        blob = sig.instantiate({"W": 0xDD, "X": 0xDE, "Y": 0xDF, "Z": 0xE0})
+        blob = bytes(cpu.assemble(cpu.prng_routine(0xDD, 0xDE, 0xDF, 0xE0)))
         plant_offsets = {}
         for i in range(5):
             noise = bytes(rng.randrange(0x100) for _ in range(512))

@@ -1,24 +1,31 @@
-"""Tests for the mini interpreter, the routine builder and the assembler."""
+"""Tests for the compiled routine, the routine builder and the assembler."""
 
-import dataclasses
 import os
 import random
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 from entombed import cpu, prng
-from entombed.cpu import Instr, MicroMachine, Mnemonic, Routine
+from entombed.cpu import Instr, Mnemonic, Routine
 
 from reference_cpu import _run, disassemble
 
 
-def run_one(instrs, acc=0, carry=0, mem=None):
-    routine = Routine(tuple(instrs) + (Instr(Mnemonic.RTS),))
-    machine = MicroMachine(acc=acc, carry=carry, mem=dict(mem or {}))
-    return cpu.execute(machine, routine)
+def run_routine(routine, acc=0, carry=0, mem=None, inc_sets_carry=False):
+    """Run ``routine`` through its compiled form on a copy of ``mem``."""
+    mem = dict(mem or {})
+    run, cells = routine.compiled[inc_sets_carry]
+    acc, carry, *values = run(acc, carry, *[mem[addr] for addr in cells])
+    mem.update(zip(cells, values))
+    return SimpleNamespace(acc=acc, carry=carry, mem=mem)
+
+
+def run_one(instrs, **kwargs):
+    return run_routine(Routine(tuple(instrs) + (Instr(Mnemonic.RTS),)), **kwargs)
 
 
 class TestInstructionSemantics:
@@ -69,77 +76,18 @@ class TestInstructionSemantics:
         assert out.carry == 1
 
     def test_inc_with_carry_fix_sets_carry_on_wrap(self):
-        routine = Routine((Instr(Mnemonic.INC_ZP, 0x10), Instr(Mnemonic.RTS)))
-        out = cpu.execute(MicroMachine(mem={0x10: 0xFF}), routine, inc_sets_carry=True)
+        out = run_one([Instr(Mnemonic.INC_ZP, 0x10)], mem={0x10: 0xFF}, inc_sets_carry=True)
         assert out.mem[0x10] == 0x00
         assert out.carry == 1
-        out = cpu.execute(MicroMachine(carry=1, mem={0x10: 0x00}), routine, inc_sets_carry=True)
+        out = run_one([Instr(Mnemonic.INC_ZP, 0x10)], carry=1, mem={0x10: 0x00}, inc_sets_carry=True)
         assert out.mem[0x10] == 0x01
         assert out.carry == 0
 
-    def test_unmapped_cell_faults(self):
-        with pytest.raises(cpu.UnmappedCellError):
-            run_one([Instr(Mnemonic.LDA_ZP, 0x99)])
-        with pytest.raises(cpu.UnmappedCellError):
-            run_one([Instr(Mnemonic.STA_ZP, 0x99)])
-        for mnemonic in (Mnemonic.ADC_ZP, Mnemonic.ROL_ZP, Mnemonic.INC_ZP):
-            with pytest.raises(cpu.UnmappedCellError):
-                run_one([Instr(mnemonic, 0x99)])
-        # nothing after an RTS runs, so nothing after it is checked
-        out = run_one([Instr(Mnemonic.RTS), Instr(Mnemonic.LDA_ZP, 0x99)], acc=7)
-        assert out.acc == 7
-
-    def test_execute_does_not_mutate_input(self):
-        machine = MicroMachine(acc=1, carry=0, mem={0x10: 5})
-        run_one([Instr(Mnemonic.LDA_IMM, 9), Instr(Mnemonic.STA_ZP, 0x10)], mem=machine.mem)
-        assert machine.acc == 1
-        assert machine.mem[0x10] == 5
-
-
-class TestMachineIsFrozen:
-    """Range checks run at construction, so nothing may change a machine after it."""
-
-    @pytest.mark.parametrize("name, value", [("acc", 300), ("carry", 5), ("mem", {})])
-    def test_fields_cannot_be_reassigned(self, name, value):
-        machine = MicroMachine(mem={0x10: 5})
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            setattr(machine, name, value)
-
-    def test_cells_cannot_be_written(self):
-        machine = MicroMachine(mem={0x10: 5})
-        with pytest.raises(TypeError):
-            machine.mem[0x10] = 999
-        with pytest.raises(TypeError):
-            machine.mem[0x11] = 1
-        assert dict(machine.mem) == {0x10: 5}
-
-    @pytest.mark.parametrize(
-        "fields, name",
-        [
-            ({"acc": 2.0}, "acc"),
-            ({"acc": "2"}, "acc"),
-            ({"carry": 1.0}, "carry"),
-            ({"carry": None}, "carry"),
-            ({"mem": {16.0: 3}}, "cell address"),
-            ({"mem": {"16": 3}}, "cell address"),
-            ({"mem": {0x10: 3.0}}, "cell 16 value"),
-            ({"mem": {0x10: b"\x03"}}, "cell 16 value"),
-            # a bool is an int subclass, not a byte
-            ({"acc": True}, "acc"),
-            ({"carry": False}, "carry"),
-            ({"mem": {True: 3}}, "cell address"),
-            ({"mem": {0x10: False}}, "cell 16 value"),
-        ],
-    )
-    def test_non_int_fields_are_refused_by_name(self, fields, name):
-        with pytest.raises(ValueError, match=f"^{name} must be an int"):
-            MicroMachine(**fields)
-
-    def test_mem_is_a_copy_of_the_given_dict(self):
-        mem = {0x10: 5}
-        machine = MicroMachine(mem=mem)
-        mem[0x10] = 999
-        assert machine.mem[0x10] == 5
+    def test_nothing_after_rts_is_compiled(self):
+        routine = Routine((Instr(Mnemonic.RTS), Instr(Mnemonic.INC_ZP, 0x99), Instr(Mnemonic.RTS)))
+        for run, cells in routine.compiled:
+            assert cells == ()
+            assert run(7, 1) == (7, 1)
 
 
 class TestInstrValidation:
@@ -190,7 +138,7 @@ class TestInstrValidation:
         instrs.pop()
         assert routine.instrs == (Instr(Mnemonic.CLC), Instr(Mnemonic.RTS))
         assert hash(routine) == hash(Routine(tuple(routine.instrs)))
-        assert cpu.execute(MicroMachine(carry=1), routine).carry == 0
+        assert run_routine(routine, carry=1).carry == 0
 
     @pytest.mark.parametrize("element", [0x18, "CLC", None, (Mnemonic.CLC,)])
     def test_routine_elements_must_be_instrs(self, element):
@@ -212,22 +160,22 @@ class TestPrngRoutine:
     def test_known_buggy_run(self):
         # state 0x0033 collapses to zero on the shipped hardware behaviour
         routine = cpu.prng_routine(0x10, 0x11, 0x12, 0x13)
-        machine = MicroMachine(mem={0x10: 0x00, 0x11: 0x33, 0x12: 0, 0x13: 0})
-        out = cpu.execute(machine, routine)
+        out = run_routine(routine, mem={0x10: 0x00, 0x11: 0x33, 0x12: 0, 0x13: 0})
         assert (out.mem[0x10], out.mem[0x11]) == (0x00, 0x00)
 
     def test_template_routine_refuses_to_execute(self):
         routine = cpu.prng_routine("W", "X", "Y", "Z")
-        machine = MicroMachine(mem={0xDD: 0, 0xDE: 0, 0xDF: 0, 0xE0: 0})
         with pytest.raises(ValueError):
-            cpu.execute(machine, routine)
+            routine.compiled
 
 
 def oracle_from(state, acc, carry):
-    """The game's routine on ``state``, run by execute from the given registers."""
+    """The game's routine on ``state``, run through its compiled form from the given registers."""
+    run, cells = cpu._ORACLE_ROUTINE.compiled[False]
     mem = {cpu.W_CELL: state >> 8, cpu.X_CELL: state & 0xFF, cpu.Y_CELL: 0, cpu.Z_CELL: 0}
-    out = cpu.execute(MicroMachine(acc=acc, carry=carry, mem=mem), cpu._ORACLE_ROUTINE)
-    return (out.mem[cpu.W_CELL] << 8) | out.mem[cpu.X_CELL]
+    _, _, *values = run(acc, carry, *[mem[addr] for addr in cells])
+    out = dict(zip(cells, values))
+    return (out[cpu.W_CELL] << 8) | out[cpu.X_CELL]
 
 
 class TestOracleStep:
@@ -245,7 +193,7 @@ class TestOracleStep:
             assert cpu.oracle_prng_step(s, True) == prng.correct_step(s)
 
     # oracle_prng_step starts the routine from a zero accumulator and carry;
-    # execute runs the same routine from any other start
+    # the compiled routine gives the same word from any other start
 
     def test_result_independent_of_initial_carry_exhaustive(self):
         for carry in (0, 1):
@@ -338,8 +286,8 @@ class TestCompiledAgainstRun:
 
     def test_a_compiled_routine_is_not_hashed_again(self, monkeypatch):
         routine = cpu.prng_routine(0x10, 0x11, 0x12, 0x13)
-        machine = MicroMachine(mem={0x10: 0x12, 0x11: 0x34, 0x12: 0, 0x13: 0})
-        cpu.execute(machine, routine)
+        mem = {0x10: 0x12, 0x11: 0x34, 0x12: 0, 0x13: 0}
+        run_routine(routine, mem=mem)
         compiled = routine.compiled
         hashes = []
         instr_hash = Instr.__hash__
@@ -350,7 +298,7 @@ class TestCompiledAgainstRun:
 
         monkeypatch.setattr(Instr, "__hash__", counting_hash)
         for inc_sets_carry in (False, True) * 50:
-            cpu.execute(machine, routine, inc_sets_carry)
+            run_routine(routine, mem=mem, inc_sets_carry=inc_sets_carry)
         assert hashes == []
         assert routine.compiled is compiled
         hash(routine)  # what a cache keyed by the routine would pay per call
@@ -369,11 +317,12 @@ class TestExecuteOnOtherCells:
     )
     def test_matches_step_exhaustively(self, cells, inc_sets_carry, step):
         w, x, y, z = cells
-        routine = cpu.prng_routine(w, x, y, z)
+        run, touched = cpu.prng_routine(w, x, y, z).compiled[inc_sets_carry]
         for s in range(0x10000):
-            machine = MicroMachine(mem={w: s >> 8, x: s & 0xFF, y: 0, z: 0})
-            out = cpu.execute(machine, routine, inc_sets_carry)
-            assert (out.mem[w] << 8) | out.mem[x] == step(s)
+            mem = {w: s >> 8, x: s & 0xFF, y: 0, z: 0}
+            _, _, *values = run(0, 0, *[mem[addr] for addr in touched])
+            out = dict(zip(touched, values))
+            assert (out[w] << 8) | out[x] == step(s)
 
     @pytest.mark.parametrize("cells", OTHER_CELLS)
     def test_untouched_cells_come_back_unchanged(self, cells):
@@ -381,7 +330,8 @@ class TestExecuteOnOtherCells:
         routine = cpu.prng_routine(w, x, y, z)
         # untouched cells before, between and after the routine's own
         mem = {0x00: 0xA5, w: 0x12, x: 0x34, 0x50: 0x5A, y: 0xFF, z: 0x01, 0xFF: 0xC3}
-        out = cpu.execute(MicroMachine(acc=0x77, carry=1, mem=dict(mem)), routine)
+        assert routine.compiled[False][1] == (w, y, x, z)
+        out = run_routine(routine, acc=0x77, carry=1, mem=mem)
         assert {a: out.mem[a] for a in (0x00, 0x50, 0xFF)} == {0x00: 0xA5, 0x50: 0x5A, 0xFF: 0xC3}
         assert set(out.mem) == set(mem)
         assert (out.mem[w] << 8) | out.mem[x] == prng.buggy_step(0x1234)
@@ -399,18 +349,7 @@ class TestExecuteOnOtherCells:
 
 
 class TestOracleStepRangeChecks:
-    """The state word is checked by oracle_prng_step; the routine's initial
-    registers by the machine that execute runs it on."""
-
-    @pytest.mark.parametrize("acc", [-1, 0x100, 1.5, "1"])
-    def test_initial_acc_out_of_byte_range(self, acc):
-        with pytest.raises(ValueError, match="^acc "):
-            oracle_from(0x1234, acc=acc, carry=0)
-
-    @pytest.mark.parametrize("carry", [-1, 2, 1.5, "1"])
-    def test_initial_carry_not_a_bit(self, carry):
-        with pytest.raises(ValueError, match="^carry "):
-            oracle_from(0x1234, acc=0, carry=carry)
+    """The state word is checked by oracle_prng_step."""
 
     @pytest.mark.parametrize("state", [-1, 0x10000, 1.5, "1"])
     def test_state_out_of_word_range(self, state):

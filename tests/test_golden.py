@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from entombed import cli, romscan
+from entombed.cpu import assemble, prng_routine
 
 GOLDEN = Path(__file__).with_name("golden")
 
@@ -39,19 +40,19 @@ def write_corpus(root: Path) -> None:
     (corpus / "sub").mkdir(parents=True)
 
     a = _fill(4096, 1)  # the game's own cells, where the game keeps the routine
-    a[0x0CA5 : 0x0CA5 + len(sig)] = sig.instantiate({"W": 0xDD, "X": 0xDE, "Y": 0xDF, "Z": 0xE0})
+    a[0x0CA5 : 0x0CA5 + len(sig)] = bytes(assemble(prng_routine(0xDD, 0xDE, 0xDF, 0xE0)))
     (corpus / "a.bin").write_bytes(a)
 
     b = _fill(2048, 2)  # scattered cells at the start, one repeated cell at the very end
-    b[0 : len(sig)] = sig.instantiate({"W": 0x80, "X": 0x81, "Y": 0x90, "Z": 0x91})
-    b[-len(sig) :] = sig.instantiate({"W": 0x42, "X": 0x42, "Y": 0x43, "Z": 0x44})
+    b[0 : len(sig)] = bytes(assemble(prng_routine(0x80, 0x81, 0x90, 0x91)))
+    b[-len(sig) :] = bytes(assemble(prng_routine(0x42, 0x42, 0x43, 0x44)))
     (corpus / "b.bin").write_bytes(b)
 
     (corpus / "empty.bin").write_bytes(b"")
     (corpus / "sub" / "c.bin").write_bytes(_fill(1024, 3))
 
     d = _fill(512, 4)  # a plant cut short by the end of the image: no hit
-    tail = sig.instantiate({"W": 0x10, "X": 0x11, "Y": 0x12, "Z": 0x13})[:-1]
+    tail = bytes(assemble(prng_routine(0x10, 0x11, 0x12, 0x13)))[:-1]
     d[-len(tail) :] = tail
     (corpus / "sub" / "d.bin").write_bytes(d)
 

@@ -39,7 +39,7 @@ def test_step_rejects_out_of_range(func):
 
 
 def test_canonical_seed_rejects_out_of_range():
-    for bad in (256, -1, 1.5, "1"):
+    for bad in (256, -1, 1.5, "1", True, False):
         with pytest.raises(ValueError):
             prng.canonical_seed(bad)
 
@@ -206,7 +206,7 @@ class TestCanonicalSeedSurvey:
             walked = [orbit_survey(prng.canonical_seed(b), steps, step) for b in range(256)]
         assert prng.canonical_seed_survey(steps, step) == walked
 
-    @pytest.mark.parametrize("steps", [0, -1, 2.5])
+    @pytest.mark.parametrize("steps", [0, -1, 2.5, True, False])
     def test_steps_must_be_positive(self, steps):
         with pytest.raises(ValueError, match="steps"):
             prng.canonical_seed_survey(steps)
