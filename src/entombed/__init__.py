@@ -15,25 +15,9 @@ The package covers three things the game is known for:
   binary ROM images regardless of which zero-page cells a game assigned
   to its state variables (:mod:`entombed.romscan`).
 
-Everything is deterministic and dependency-free; the command line lives in
-:mod:`entombed.cli`.
+Import the submodule you need (``from entombed import prng``); the package
+itself defines only ``__version__``. Everything is deterministic and
+dependency-free; the command line lives in :mod:`entombed.cli`.
 """
 
 __version__ = "0.1.0"
-
-from .prng import buggy_step, canonical_seed, correct_step
-from .mazegen import ModelBitSource, default_table, generate_maze
-from .romscan import prng_signature, scan_bytes, scan_corpus
-
-__all__ = [
-    "__version__",
-    "buggy_step",
-    "correct_step",
-    "canonical_seed",
-    "default_table",
-    "generate_maze",
-    "ModelBitSource",
-    "prng_signature",
-    "scan_bytes",
-    "scan_corpus",
-]

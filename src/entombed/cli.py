@@ -65,7 +65,7 @@ def _emit(command: str, parameters: dict, results: dict) -> None:
 
 def _make_source(kind: str, seed: int) -> mazegen.RandomBitSource:
     if kind == "zeros":
-        return mazegen.ConstantBitSource(0)
+        return mazegen.ConstantBitSource()
     return mazegen.ModelBitSource(seed)
 
 

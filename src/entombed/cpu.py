@@ -162,7 +162,7 @@ def _compile(routine: Routine, inc_sets_carry: bool) -> Tuple[Callable, Tuple[in
     after the first RTS is compiled.
     """
     if any(isinstance(ins.operand, str) for ins in routine.instrs):
-        raise ValueError("cannot execute a template routine with unresolved slots")
+        raise ValueError("cannot compile a template routine with unresolved slots")
     cells: Dict[int, None] = {}  # insertion-ordered set
     body = []
     for ins in routine.instrs:

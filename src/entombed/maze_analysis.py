@@ -16,9 +16,9 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
-from .mazegen import ModelBitSource, MysteryTable, PostprocessRule, default_table, generate_maze
+from .mazegen import ModelBitSource, PostprocessRule, generate_maze
 from .prng import _check_word, buggy_step
 
 
@@ -135,14 +135,8 @@ def derived_seed(seed: int, index: int) -> int:
     return buggy_step((seed + index) & 0xFFFF)
 
 
-def maze_survey(
-    n_mazes: int,
-    rows_per_maze: int = 60,
-    *,
-    seed: int,
-    table: Optional[MysteryTable] = None,
-) -> PatternStats:
-    """Tally ``n_mazes`` model-source mazes, generating one per phase.
+def maze_survey(n_mazes: int, rows_per_maze: int = 60, *, seed: int) -> PatternStats:
+    """Tally ``n_mazes`` model-source mazes on the game's table, generating one per phase.
 
     Maze ``i`` uses a model source seeded with :func:`derived_seed`, so a
     fixed ``seed`` reproduces the whole batch exactly. The model source
@@ -157,13 +151,11 @@ def maze_survey(
     """
     if type(n_mazes) is not int or n_mazes < 1:  # no bool or other int subclass
         raise ValueError(f"n_mazes must be an int >= 1, got {n_mazes!r}")
-    if table is None:
-        table = default_table()
     condition1 = condition2 = unsolvable = 0
     for i in range(min(n_mazes, 0x100)):
         # Indices i, i + 256, i + 512, ... share the seed low byte, so the phase.
         count = n_mazes // 0x100 + (i < n_mazes % 0x100)
-        rows, traces = generate_maze(ModelBitSource(derived_seed(seed, i)), rows_per_maze, table)
+        rows, traces = generate_maze(ModelBitSource(derived_seed(seed, i)), rows_per_maze)
         fired = Counter(trace.postprocess_fired for trace in traces)
         condition1 += count * fired[PostprocessRule.CONDITION1]
         condition2 += count * fired[PostprocessRule.CONDITION2]

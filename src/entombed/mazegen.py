@@ -153,15 +153,10 @@ class SeededBitSource:
 
 
 class ConstantBitSource:
-    """Always the same bit; handy for deterministic fixtures."""
-
-    def __init__(self, bit: int = 0):
-        if type(bit) is not int or bit not in (0, 1):
-            raise ValueError(f"bit must be 0 or 1, got {bit!r}")
-        self.bit = bit
+    """Always draws 0: the all-zeros source behind ``--source zeros``."""
 
     def draw(self, kind: DrawKind) -> int:
-        return self.bit
+        return 0
 
 
 @dataclass

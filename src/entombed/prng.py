@@ -104,17 +104,15 @@ def compare_all_steps() -> AgreementReport:
 
 @dataclass(frozen=True)
 class OrbitStats:
-    """What one seed's forward orbit looks like after a fixed number of steps.
+    """What one seed's whole forward orbit looks like.
 
-    ``distinct_values`` counts the seed itself as visited, so for an orbit
-    that closes into a cycle it equals tail length plus cycle length.
-    ``distinct_generated`` counts only values the generator produced, which
-    is the same number minus one whenever the orbit never comes back to the
-    seed.
+    ``distinct_values`` counts the seed itself as visited, so it equals
+    tail length plus cycle length. ``distinct_generated`` counts only
+    values the generator produced, which is the same number minus one
+    whenever the orbit never comes back to the seed.
     """
 
     seed: int
-    steps: int
     distinct_values: int
     returns_to_seed: bool
 
@@ -198,33 +196,19 @@ def rho_decomposition(step: Callable[[int], int] = buggy_step) -> RhoDecompositi
     return RhoDecomposition(successor, tail, cycle)
 
 
-def canonical_seed_survey(
-    steps: int = WORD_COUNT, step: Callable[[int], int] = buggy_step
-) -> List[OrbitStats]:
-    """Size the orbit of each of the 256 canonical seeds after ``steps`` steps.
+def canonical_seed_survey(step: Callable[[int], int] = buggy_step) -> List[OrbitStats]:
+    """Size the whole orbit of each of the 256 canonical seeds under ``step``.
 
-    Gives exactly what walking ``steps`` applications of ``step`` from each
-    seed gives, read off one :func:`rho_decomposition` of ``step``
-    (O(65536), whatever ``steps`` is) instead of 256 walks. A seed with tail ``t`` and cycle
-    ``c`` revisits a value first at step ``t + c``: if ``steps`` reaches
-    it, the orbit has ``t + c`` distinct values and returns to the seed
-    exactly when ``t == 0``; otherwise it has ``steps + 1`` distinct
-    values and has not returned. For :func:`correct_step` every seed comes
-    back after 65536 steps, as Hull-Dobell predicts (see its docstring).
+    Reads each seed off one :func:`rho_decomposition` of ``step`` (O(65536))
+    instead of walking 256 orbits: a seed with tail ``t`` and cycle ``c``
+    first revisits a value at step ``t + c``, so its orbit has ``t + c``
+    distinct values and returns to the seed exactly when ``t == 0``. For
+    :func:`correct_step` every seed comes back after 65536 steps, as
+    Hull-Dobell predicts (see its docstring).
     """
-    if type(steps) is not int or steps < 1:  # no bool or other int subclass
-        raise ValueError(f"steps must be an int >= 1, got {steps!r}")
     rho = rho_decomposition(step)
-    surveys = []
-    for b in range(256):
-        seed = canonical_seed(b)
-        first_repeat = rho.tail[seed] + rho.cycle[seed]
-        if steps >= first_repeat:
-            stats = OrbitStats(seed, steps, first_repeat, rho.tail[seed] == 0)
-        else:
-            stats = OrbitStats(seed, steps, steps + 1, False)
-        surveys.append(stats)
-    return surveys
+    seeds = [canonical_seed(b) for b in range(256)]
+    return [OrbitStats(s, rho.tail[s] + rho.cycle[s], rho.tail[s] == 0) for s in seeds]
 
 
 def max_distinct_over_canonical_seeds(surveys: List[OrbitStats]) -> tuple[int, int]:

@@ -90,17 +90,9 @@ class SignatureTemplate:
         return cls(tuple(elements))
 
 
-def prng_signature(include_rts: bool = True) -> SignatureTemplate:
-    """The PRNG routine as a signature with W/X/Y/Z cell slots.
-
-    37 bytes with the terminating RTS (14 of them wildcards), 36 without.
-    RTS is included by default: it is part of the routine and sharpens
-    the pattern.
-    """
-    elements = assemble(prng_routine("W", "X", "Y", "Z"))
-    if not include_rts:
-        elements = elements[:-1]
-    return SignatureTemplate(elements)
+def prng_signature() -> SignatureTemplate:
+    """The PRNG routine as a 37-byte signature, RTS included; 14 bytes are W/X/Y/Z cell slots."""
+    return SignatureTemplate(assemble(prng_routine("W", "X", "Y", "Z")))
 
 
 @dataclass(frozen=True)

@@ -27,11 +27,6 @@ def orbit_survey(seed: int, steps: int, step: Callable[[int], int] = buggy_step)
     for i in range(1, steps + 1):
         value = step(value)
         if value in seen:
-            return OrbitStats(
-                seed=seed,
-                steps=steps,
-                distinct_values=i,
-                returns_to_seed=value == seed,
-            )
+            return OrbitStats(seed=seed, distinct_values=i, returns_to_seed=value == seed)
         seen.add(value)
-    return OrbitStats(seed=seed, steps=steps, distinct_values=len(seen), returns_to_seed=False)
+    return OrbitStats(seed=seed, distinct_values=len(seen), returns_to_seed=False)

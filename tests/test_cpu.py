@@ -163,9 +163,9 @@ class TestPrngRoutine:
         out = run_routine(routine, mem={0x10: 0x00, 0x11: 0x33, 0x12: 0, 0x13: 0})
         assert (out.mem[0x10], out.mem[0x11]) == (0x00, 0x00)
 
-    def test_template_routine_refuses_to_execute(self):
+    def test_template_routine_refuses_to_compile(self):
         routine = cpu.prng_routine("W", "X", "Y", "Z")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="cannot compile a template routine"):
             routine.compiled
 
 
@@ -310,7 +310,7 @@ class TestCompiledAgainstRun:
 OTHER_CELLS = [(0x10, 0x11, 0x12, 0x13), (0x80, 0x81, 0x90, 0x91)]
 
 
-class TestExecuteOnOtherCells:
+class TestCompiledOnOtherCells:
     @pytest.mark.parametrize("cells", OTHER_CELLS)
     @pytest.mark.parametrize(
         "inc_sets_carry, step", [(False, prng.buggy_step), (True, prng.correct_step)]

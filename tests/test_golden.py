@@ -63,3 +63,7 @@ def test_stdout_matches_golden(name, capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert cli.main(CASES[name]) == 0
     assert capsys.readouterr().out.encode() == (GOLDEN / name).read_bytes()
+
+
+def test_every_fixture_has_a_case():
+    assert sorted(CASES) == sorted(path.name for path in GOLDEN.iterdir())

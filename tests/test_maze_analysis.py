@@ -14,14 +14,7 @@ from entombed.maze_analysis import (
     maze_survey,
     render_row,
 )
-from entombed.mazegen import (
-    CellRule,
-    ModelBitSource,
-    MysteryTable,
-    PostprocessRule,
-    default_table,
-    generate_maze,
-)
+from entombed.mazegen import ModelBitSource, PostprocessRule, generate_maze
 from entombed.prng import buggy_step
 
 
@@ -257,12 +250,12 @@ class TestSerpentines:
         assert is_solvable(grid).solvable == union_find_solvable(grid) is False
 
 
-def reference_surveys(n_mazes, rows_per_maze=60, *, seed, table=None):
+def reference_surveys(n_mazes, rows_per_maze=60, *, seed):
     """The plain loop: generate and solve maze after maze, yielding the
     running tallies, so item ``k`` is the survey of the first ``k + 1``."""
     condition1 = condition2 = unsolvable = 0
     for i in range(n_mazes):
-        rows, traces = generate_maze(ModelBitSource(derived_seed(seed, i)), rows_per_maze, table)
+        rows, traces = generate_maze(ModelBitSource(derived_seed(seed, i)), rows_per_maze)
         for trace in traces:
             condition1 += trace.postprocess_fired is PostprocessRule.CONDITION1
             condition2 += trace.postprocess_fired is PostprocessRule.CONDITION2
@@ -276,8 +269,8 @@ def reference_surveys(n_mazes, rows_per_maze=60, *, seed, table=None):
         )
 
 
-def reference_survey(n_mazes, rows_per_maze=60, *, seed, table=None):
-    for stats in reference_surveys(n_mazes, rows_per_maze, seed=seed, table=table):
+def reference_survey(n_mazes, rows_per_maze=60, *, seed):
+    for stats in reference_surveys(n_mazes, rows_per_maze, seed=seed):
         pass
     return stats
 
@@ -296,15 +289,6 @@ class TestSurveyMatchesReference:
         # Index 65536 reuses index 0's derived seed; short mazes keep this cheap.
         expected = reference_survey(65537, 2, seed=3)
         assert maze_survey(65537, 2, seed=3) == expected
-
-    def test_custom_table(self):
-        rules = list(default_table().rules)
-        rules[::3] = [CellRule.RANDOM] * len(rules[::3])
-        table = MysteryTable(rules)
-        assert maze_survey(300, 30, seed=7, table=table) == reference_survey(
-            300, 30, seed=7, table=table
-        )
-        assert maze_survey(300, 30, seed=7, table=table) != maze_survey(300, 30, seed=7)
 
     def test_low_byte_follows_its_own_lcg(self):
         # The fact the survey rests on: the model source's draws (bit 7 of

@@ -127,7 +127,7 @@ class TestGenerateRow:
 
     def test_history_must_be_non_empty(self):
         with pytest.raises(ValueError):
-            generate_row([], ConstantBitSource(0), default_table())
+            generate_row([], ConstantBitSource(), default_table())
 
     def test_trace_counts_random_lookups(self):
         rng = random.Random(5)
@@ -157,8 +157,8 @@ class TestGenerateRow:
         # with no random entries the produced row cannot depend on the source
         all_wall = MysteryTable((CellRule.WALL,) * 32)
         for prev in (0x00, 0xFF, 0xA5):
-            row_a, trace_a = generate_row([prev], ConstantBitSource(0), all_wall)
-            row_b, trace_b = generate_row([prev], ConstantBitSource(1), all_wall)
+            row_a, trace_a = generate_row([prev], ConstantBitSource(), all_wall)
+            row_b, trace_b = generate_row([prev], TapeSource([1, 1]), all_wall)
             assert row_a == row_b == 0xFF
             assert trace_a.mid_bits == trace_b.mid_bits == []
 
@@ -282,15 +282,6 @@ class TestSources:
             with pytest.raises(ValueError):
                 ModelBitSource(bad)
 
-    def test_constant_source_bit_validation(self):
-        with pytest.raises(ValueError):
-            ConstantBitSource(2)
-
-    @pytest.mark.parametrize("bit", [1.0, 0.0, True, "1"])
-    def test_constant_source_takes_only_the_ints_0_and_1(self, bit):
-        with pytest.raises(ValueError, match="bit must be 0 or 1"):
-            ConstantBitSource(bit)
-
 
 class TestGenerateMaze:
     def test_row_count(self):
@@ -306,8 +297,8 @@ class TestGenerateMaze:
                 generate_maze(ModelBitSource(1), rows)
 
     def test_zeros_source_is_reproducible(self):
-        rows_a, _ = generate_maze(ConstantBitSource(0), 60)
-        rows_b, _ = generate_maze(ConstantBitSource(0), 60)
+        rows_a, _ = generate_maze(ConstantBitSource(), 60)
+        rows_b, _ = generate_maze(ConstantBitSource(), 60)
         assert rows_a == rows_b
 
     def test_identical_streams_identical_mazes(self):
@@ -406,7 +397,7 @@ class TestRunCounters:
         for rows in range(1, 13):
             for seed in range(40):
                 self.assert_same(lambda: SeededBitSource(seed), rows)
-            self.assert_same(lambda: ConstantBitSource(1), rows, ALL_WALL)
+            self.assert_same(lambda: TapeSource([1] * 2 * rows), rows, ALL_WALL)
             self.assert_same(lambda: Replay(random_table_tape([0x02] * rows)), rows, ALL_RANDOM)
 
     def test_condition1_on_exactly_the_eleventh_row_in_range(self):

@@ -41,12 +41,6 @@ class TestSignatureTemplate:
         assert len(sig) == 37
         assert sum(isinstance(el, str) for el in sig.elements) == 14
 
-    def test_builtin_without_rts(self):
-        sig = prng_signature(include_rts=False)
-        assert len(sig) == 36
-        # RTS is the only dropped element
-        assert sig.elements == prng_signature().elements[:-1]
-
     def test_needs_a_fixed_byte(self):
         with pytest.raises(ValueError):
             SignatureTemplate(("a", "b"))
@@ -197,9 +191,8 @@ class TestScanBytes:
 
 
 class TestScanPlan:
-    @pytest.mark.parametrize("include_rts", [True, False])
-    def test_prng_signature_anchors_on_a9_00_65(self, include_rts):
-        anchor_index, anchor, _, _ = prng_signature(include_rts=include_rts).plan
+    def test_prng_signature_anchors_on_a9_00_65(self):
+        anchor_index, anchor, _, _ = prng_signature().plan
         assert (anchor_index, anchor) == (19, bytes([0xA9, 0x00, 0x65]))
 
     def test_tied_runs_anchor_on_the_first(self):
