@@ -161,14 +161,49 @@ def _low_byte_square_plus_one(state):
     return (state & 0xFF00) | (((state & 0xFF) ** 2 + 1) & 0xFF)
 
 
+# Both sides of the buggy generator's tail (max 451) and orbit (max 1201
+# values) boundaries, and of the full period 65536.
+FULL_PERIOD = [65535, 65536, 65537]
+SURVEY_STEPS = [1, 2, 450, 451, 452, 1199, 1200, 1201, 1202] + FULL_PERIOD
+
+
+@pytest.fixture(scope="module")
+def correct_step_walks():
+    """One walk per canonical seed to the longest horizon, which the correct
+    generator's full-period cases share instead of walking 65536 states thrice."""
+    return [orbit_survey(prng.canonical_seed(b), max(FULL_PERIOD), prng.correct_step) for b in range(256)]
+
+
+def _at_horizon(stats, steps):
+    """What orbit_survey reports after ``steps``, read off a walk at least that long.
+
+    The walk stops at its first revisit, at step ``distinct_values``; a
+    horizon from there on reads the same walk, and a shorter one revisits
+    nothing.
+    """
+    if stats.distinct_values <= steps:
+        return stats
+    return prng.OrbitStats(stats.seed, steps + 1, False)
+
+
 class TestCanonicalSeedSurvey:
+    @pytest.mark.parametrize("steps", SURVEY_STEPS)
     @pytest.mark.parametrize(
         "step", [prng.buggy_step, prng.correct_step, _low_byte_square_plus_one]
     )
-    def test_matches_walking_oracle(self, step):
-        # 0x10000 steps reach every orbit's first revisit, so each walk sees its whole orbit.
-        walked = [orbit_survey(prng.canonical_seed(b), 0x10000, step) for b in range(256)]
-        assert prng.canonical_seed_survey(step) == walked
+    def test_matches_walking_oracle(self, step, steps, request):
+        # The survey sizes whole orbits; cut at each horizon, it must read what
+        # a walk of that many steps reads, and at 65536 steps and beyond every
+        # walk sees its whole orbit.
+        if step is prng.correct_step and steps in FULL_PERIOD:
+            walks = request.getfixturevalue("correct_step_walks")
+            walked = [_at_horizon(walk, steps) for walk in walks]
+        else:
+            walked = [orbit_survey(prng.canonical_seed(b), steps, step) for b in range(256)]
+        surveyed = prng.canonical_seed_survey(step)
+        assert [_at_horizon(stats, steps) for stats in surveyed] == walked
+        if steps >= 0x10000:
+            assert surveyed == walked
 
     @pytest.mark.parametrize(
         "step, state",
