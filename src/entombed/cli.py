@@ -166,6 +166,7 @@ def _cmd_scan(args: argparse.Namespace) -> int:
     except (OSError, ValueError) as exc:
         print(f"error: cannot load signature: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
+    unlisted: dict = {}  # directories the walk could not list, reported like unreadable files
     if args.file is not None:
         if not os.path.isfile(args.file):
             reason = "not a regular file" if os.path.exists(args.file) else "no such file"
@@ -179,7 +180,8 @@ def _cmd_scan(args: argparse.Namespace) -> int:
             print(f"error: {reason}: {args.dir}", file=sys.stderr)
             return EXIT_RUNTIME
         paths = []
-        for base, _dirs, names in os.walk(args.dir):
+        walk = os.walk(args.dir, onerror=lambda exc: unlisted.update({exc.filename: str(exc)}))
+        for base, _dirs, names in walk:
             paths.extend(os.path.join(base, name) for name in names)
         paths.sort()
         target = {"dir": args.dir}
@@ -199,7 +201,7 @@ def _cmd_scan(args: argparse.Namespace) -> int:
                 for h in report.hits
             ],
             "checksums": report.checksums,
-            "errors": report.errors,
+            "errors": {**report.errors, **unlisted},
         },
     )
     return EXIT_OK

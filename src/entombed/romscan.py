@@ -21,7 +21,7 @@ from functools import cached_property
 from types import MappingProxyType
 from typing import Dict, Iterable, List, Mapping, Tuple, Union
 
-from .cpu import assemble, prng_routine
+from .cpu import assemble
 
 Element = Union[int, str]
 
@@ -92,7 +92,7 @@ class SignatureTemplate:
 
 def prng_signature() -> SignatureTemplate:
     """The PRNG routine as a 37-byte signature, RTS included; 14 bytes are W/X/Y/Z cell slots."""
-    return SignatureTemplate(assemble(prng_routine("W", "X", "Y", "Z")))
+    return SignatureTemplate(assemble())
 
 
 @dataclass(frozen=True)

@@ -1,26 +1,30 @@
 """Reference pieces of the 6502 model that the package no longer carries.
 
 :func:`_run` is the instruction-by-instruction interpreter loop over a
-:class:`Routine`, on a dict of cells keyed by address. It is the
-reference semantics that ``entombed.cpu``'s compiled straight-line
-functions are checked against, so it must never call the compiled form.
-:func:`disassemble` decodes ``entombed.cpu.assemble`` output back into a
-routine, for round-trip checks of the assembler.
+routine's ``(Mnemonic, operand)`` pairs, on a dict of cells keyed by
+operand. It is the reference semantics that ``entombed.cpu``'s compiled
+straight-line functions are checked against, so it must never call the
+compiled form. :func:`disassemble` decodes ``entombed.cpu.assemble``
+output back into pairs, for round-trip checks of the assembler, and
+:func:`routine_bytes` binds its slots to concrete cells, the bytes a game
+would carry in its ROM.
 """
 
 from typing import Dict, List, Tuple
 
-from entombed.cpu import IMPLIED, Instr, Mnemonic, Operand, Routine
+from entombed.cpu import Mnemonic, assemble
+
+IMPLIED = {Mnemonic.ASL_A, Mnemonic.CLC, Mnemonic.RTS}  # one byte, no operand
 
 
-def _run(routine: Routine, acc: int, carry: int, mem: Dict[int, int], inc_sets_carry: bool) -> Tuple[int, int]:
+def _run(routine, acc: int, carry: int, mem: Dict, inc_sets_carry: bool) -> Tuple[int, int]:
     """Interpret ``routine`` up to its first RTS on ``mem`` in place; return (acc, carry).
 
     The reference semantics: :func:`_compile` must agree with it on every
     input, and no test oracle calls the compiled form.
     """
-    for ins in routine.instrs:  # literal opcodes, most frequent in the PRNG routine first
-        op, arg = ins.mnemonic.value, ins.operand
+    for mnemonic, arg in routine:  # literal opcodes, most frequent in the PRNG routine first
+        op = mnemonic.value
         if op == 0x85:  # STA_ZP
             mem[arg] = acc
         elif op == 0x65:  # ADC_ZP
@@ -45,13 +49,13 @@ def _run(routine: Routine, acc: int, carry: int, mem: Dict[int, int], inc_sets_c
     return acc, carry
 
 
-def disassemble(elements: List[Operand]) -> Routine:
-    """Decode :func:`assemble` output back into a routine.
+def disassemble(elements: List) -> List[Tuple]:
+    """Decode :func:`assemble` output back into ``(Mnemonic, operand)`` pairs.
 
     Raises ValueError on unknown opcodes, a wildcard in an opcode
     position, or a truncated instruction.
     """
-    instrs: List[Instr] = []
+    pairs = []
     pos = 0
     while pos < len(elements):
         opcode = elements[pos]
@@ -61,10 +65,15 @@ def disassemble(elements: List[Operand]) -> Routine:
             raise ValueError(f"not an opcode at position {pos}: {opcode!r}") from None
         pos += 1
         if mnemonic in IMPLIED:
-            instrs.append(Instr(mnemonic))
+            pairs.append((mnemonic, None))
         else:
             if pos >= len(elements):
                 raise ValueError(f"{mnemonic.name} missing its operand at end of input")
-            instrs.append(Instr(mnemonic, elements[pos]))
+            pairs.append((mnemonic, elements[pos]))
             pos += 1
-    return Routine(tuple(instrs))
+    return pairs
+
+
+def routine_bytes(**cells: int) -> bytes:
+    """The game's routine, RTS included, with each slot bound to its cell: ``routine_bytes(W=0xDD, ...)``."""
+    return bytes(cells.get(el, el) for el in assemble())

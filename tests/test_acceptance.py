@@ -22,6 +22,7 @@ from entombed.maze_analysis import derived_seed, maze_survey
 from entombed.mazegen import CellRule, ModelBitSource, default_table, generate_maze
 from entombed.romscan import md5_of, prng_signature, scan_bytes, scan_corpus
 
+from reference_cpu import routine_bytes
 from reference_maze import reference_maze, tape_from_traces
 from reference_romscan import brute_force_scan
 
@@ -234,7 +235,7 @@ def test_criterion_11_scanner_soundness_and_completeness():
         offset = rng.randrange(0, size - siglen + 1)
         bindings = {name: rng.randrange(0x100) for name in ("W", "X", "Y", "Z")}
         noise = rng.randbytes(size)
-        plant = bytes(cpu.assemble(cpu.prng_routine(*(bindings[slot] for slot in "WXYZ"))))
+        plant = routine_bytes(**bindings)
         buf = noise[:offset] + plant + noise[offset + siglen :]
         hits = {(h.offset, tuple(sorted(h.bindings.items()))) for h in scan_bytes(buf, sig)}
         if (offset, tuple(sorted(bindings.items()))) not in hits:

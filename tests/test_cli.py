@@ -9,7 +9,9 @@ from pathlib import Path
 
 import pytest
 
-from entombed import __version__, cli, cpu, prng, romscan
+from entombed import __version__, cli, prng, romscan
+
+from reference_cpu import routine_bytes
 
 
 def run_cli(capsys, *argv):
@@ -169,7 +171,7 @@ class TestScan:
     @pytest.fixture()
     def corpus(self, tmp_path):
         rng = random.Random(200)
-        blob = bytes(cpu.assemble(cpu.prng_routine(0xDD, 0xDE, 0xDF, 0xE0)))
+        blob = routine_bytes(W=0xDD, X=0xDE, Y=0xDF, Z=0xE0)
         plant_offsets = {}
         for i in range(5):
             noise = bytes(rng.randrange(0x100) for _ in range(512))
@@ -288,6 +290,26 @@ class TestScan:
         assert results["files_scanned"] == 1
         assert list(results["checksums"]) == [str(tmp_path / "rom.bin")]
         assert results["errors"] == {str(tmp_path / "pipe"): "not a regular file"}
+
+    @pytest.mark.parametrize("denied", ["locked", ""], ids=["subdirectory", "top"])
+    def test_a_directory_the_walk_cannot_list_is_an_error(self, capsys, tmp_path, monkeypatch, denied):
+        # os.scandir is made to refuse, since chmod does not stop a root user
+        (tmp_path / "locked").mkdir()
+        (tmp_path / "locked" / "b.bin").write_bytes(b"\x00" * 64)
+        (tmp_path / "a.bin").write_bytes(b"\x00" * 64)
+        locked, scandir = str(tmp_path / denied), os.scandir  # tmp_path / "" is tmp_path
+
+        def refusing_scandir(path="."):
+            if os.fspath(path) == locked:
+                raise PermissionError(13, "Permission denied", path)
+            return scandir(path)
+
+        monkeypatch.setattr(os, "scandir", refusing_scandir)
+        code, out, _ = run_cli(capsys, "scan", "--dir", str(tmp_path))
+        assert code == 0
+        results = parse_envelope(out)["results"]
+        assert results["errors"] == {locked: f"[Errno 13] Permission denied: {locked!r}"}
+        assert results["files_scanned"] == (1 if denied else 0)
 
     def test_missing_file_names_the_cause(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "scan", "--file", str(tmp_path / "absent.bin"))

@@ -1,5 +1,6 @@
-"""Tests for the compiled routine, the routine builder and the assembler."""
+"""Tests for the game's routine as data: compiled, run and assembled."""
 
+import functools
 import os
 import random
 import subprocess
@@ -10,172 +11,118 @@ from types import SimpleNamespace
 import pytest
 
 from entombed import cpu, prng
-from entombed.cpu import Instr, Mnemonic, Routine
+from entombed.cpu import PRNG_ROUTINE, Mnemonic
 
-from reference_cpu import _run, disassemble
+from reference_cpu import IMPLIED, _run, disassemble, routine_bytes
 
 
 def run_routine(routine, acc=0, carry=0, mem=None, inc_sets_carry=False):
     """Run ``routine`` through its compiled form on a copy of ``mem``."""
     mem = dict(mem or {})
-    run, cells = routine.compiled[inc_sets_carry]
+    run, cells = cpu._compile(routine, inc_sets_carry)
     acc, carry, *values = run(acc, carry, *[mem[addr] for addr in cells])
     mem.update(zip(cells, values))
     return SimpleNamespace(acc=acc, carry=carry, mem=mem)
 
 
 def run_one(instrs, **kwargs):
-    return run_routine(Routine(tuple(instrs) + (Instr(Mnemonic.RTS),)), **kwargs)
+    return run_routine((*instrs, (Mnemonic.RTS, None)), **kwargs)
+
+
+def on_cells(w, x, y, z):
+    """PRNG_ROUTINE with its slots W, X, Y, Z renamed to the given cells."""
+    cells = {"W": w, "X": x, "Y": y, "Z": z}
+    return tuple((mnemonic, cells.get(a, a)) for mnemonic, a in PRNG_ROUTINE)
 
 
 class TestInstructionSemantics:
     def test_asl_shifts_bit7_into_carry(self):
-        out = run_one([Instr(Mnemonic.ASL_A)], acc=0x80)
+        out = run_one([(Mnemonic.ASL_A, None)], acc=0x80)
         assert out.acc == 0x00
         assert out.carry == 1
 
     def test_asl_clears_carry_when_bit7_clear(self):
-        out = run_one([Instr(Mnemonic.ASL_A)], acc=0x41, carry=1)
+        out = run_one([(Mnemonic.ASL_A, None)], acc=0x41, carry=1)
         assert out.acc == 0x82
         assert out.carry == 0
 
     def test_rol_is_nine_bit_rotate(self):
-        out = run_one([Instr(Mnemonic.ROL_ZP, 0x10)], carry=1, mem={0x10: 0x80})
+        out = run_one([(Mnemonic.ROL_ZP, 0x10)], carry=1, mem={0x10: 0x80})
         assert out.mem[0x10] == 0x01
         assert out.carry == 1
 
     def test_adc_adds_carry_and_sets_overflow(self):
-        out = run_one([Instr(Mnemonic.ADC_ZP, 0x10)], acc=0xF0, carry=1, mem={0x10: 0x0F})
+        out = run_one([(Mnemonic.ADC_ZP, 0x10)], acc=0xF0, carry=1, mem={0x10: 0x0F})
         assert out.acc == 0x00
         assert out.carry == 1
 
     def test_adc_clears_carry_without_overflow(self):
-        out = run_one([Instr(Mnemonic.ADC_ZP, 0x10)], acc=0x01, carry=1, mem={0x10: 0x01})
+        out = run_one([(Mnemonic.ADC_ZP, 0x10)], acc=0x01, carry=1, mem={0x10: 0x01})
         assert out.acc == 0x03
         assert out.carry == 0
 
     def test_clc(self):
-        out = run_one([Instr(Mnemonic.CLC)], carry=1)
+        out = run_one([(Mnemonic.CLC, None)], carry=1)
         assert out.carry == 0
 
     def test_lda_and_sta(self):
         out = run_one(
-            [Instr(Mnemonic.LDA_ZP, 0x10), Instr(Mnemonic.STA_ZP, 0x11)],
+            [(Mnemonic.LDA_ZP, 0x10), (Mnemonic.STA_ZP, 0x11)],
             mem={0x10: 0x42, 0x11: 0x00},
         )
         assert out.acc == 0x42
         assert out.mem[0x11] == 0x42
 
     def test_lda_immediate(self):
-        out = run_one([Instr(Mnemonic.LDA_IMM, 0x07)], acc=0xFF)
+        out = run_one([(Mnemonic.LDA_IMM, 0x07)], acc=0xFF)
         assert out.acc == 0x07
 
     def test_inc_wraps_without_touching_carry(self):
-        out = run_one([Instr(Mnemonic.INC_ZP, 0x10)], carry=1, mem={0x10: 0xFF})
+        out = run_one([(Mnemonic.INC_ZP, 0x10)], carry=1, mem={0x10: 0xFF})
         assert out.mem[0x10] == 0x00
         assert out.carry == 1
 
     def test_inc_with_carry_fix_sets_carry_on_wrap(self):
-        out = run_one([Instr(Mnemonic.INC_ZP, 0x10)], mem={0x10: 0xFF}, inc_sets_carry=True)
+        out = run_one([(Mnemonic.INC_ZP, 0x10)], mem={0x10: 0xFF}, inc_sets_carry=True)
         assert out.mem[0x10] == 0x00
         assert out.carry == 1
-        out = run_one([Instr(Mnemonic.INC_ZP, 0x10)], carry=1, mem={0x10: 0x00}, inc_sets_carry=True)
+        out = run_one([(Mnemonic.INC_ZP, 0x10)], carry=1, mem={0x10: 0x00}, inc_sets_carry=True)
         assert out.mem[0x10] == 0x01
         assert out.carry == 0
 
     def test_nothing_after_rts_is_compiled(self):
-        routine = Routine((Instr(Mnemonic.RTS), Instr(Mnemonic.INC_ZP, 0x99), Instr(Mnemonic.RTS)))
-        for run, cells in routine.compiled:
+        routine = ((Mnemonic.RTS, None), (Mnemonic.INC_ZP, 0x99), (Mnemonic.RTS, None))
+        for inc_sets_carry in (False, True):
+            run, cells = cpu._compile(routine, inc_sets_carry)
             assert cells == ()
             assert run(7, 1) == (7, 1)
 
 
-class TestInstrValidation:
-    def test_implied_forms_reject_operands(self):
-        with pytest.raises(ValueError):
-            Instr(Mnemonic.CLC, 0x10)
-
-    def test_operand_forms_require_operands(self):
-        with pytest.raises(ValueError):
-            Instr(Mnemonic.LDA_ZP)
-
-    def test_operand_range(self):
-        with pytest.raises(ValueError):
-            Instr(Mnemonic.LDA_ZP, 0x100)
-
-    @pytest.mark.parametrize("operand", [1.5, 16.0, [0x10], b"\x10", ("W",)])
-    def test_operand_must_be_a_byte_or_a_slot_name(self, operand):
-        with pytest.raises(ValueError, match="operand must be int or str"):
-            Instr(Mnemonic.LDA_ZP, operand)
-        with pytest.raises(ValueError, match="operand must be int or str"):
-            Instr(Mnemonic.LDA_IMM, operand)
-
-    def test_an_int_subclass_operand_is_kept_as_a_plain_int(self):
-        # its __format__ must not reach the source _compile runs
-        class Hostile(int):
-            def __format__(self, spec):
-                return "0\n    carry = 'injected'"
-
-        instrs = [Instr(Mnemonic.LDA_IMM, Hostile(5)), Instr(Mnemonic.STA_ZP, Hostile(0x10))]
-        assert [type(i.operand) for i in instrs] == [int, int]
-        out = run_one(instrs, carry=1, mem={0x10: 0})
-        assert (out.acc, out.carry, dict(out.mem)) == (5, 1, {0x10: 5})
-
-    def test_a_bool_operand_becomes_an_int(self):
-        instr = Instr(Mnemonic.LDA_IMM, True)
-        assert type(instr.operand) is int and instr == Instr(Mnemonic.LDA_IMM, 1)
-        out = run_one([instr, Instr(Mnemonic.STA_ZP, 0x10)], mem={0x10: 0})
-        assert (type(out.acc), type(out.mem[0x10])) == (int, int)
-        assert (out.acc, out.mem[0x10]) == (1, 1)
-
-    def test_routine_must_end_in_rts(self):
-        with pytest.raises(ValueError):
-            Routine((Instr(Mnemonic.CLC),))
-
-    def test_routine_copies_a_list_into_a_tuple(self):
-        instrs = [Instr(Mnemonic.CLC), Instr(Mnemonic.RTS)]
-        routine = Routine(instrs)
-        instrs.pop()
-        assert routine.instrs == (Instr(Mnemonic.CLC), Instr(Mnemonic.RTS))
-        assert hash(routine) == hash(Routine(tuple(routine.instrs)))
-        assert run_routine(routine, carry=1).carry == 0
-
-    @pytest.mark.parametrize("element", [0x18, "CLC", None, (Mnemonic.CLC,)])
-    def test_routine_elements_must_be_instrs(self, element):
-        with pytest.raises(ValueError, match="routine elements must be Instr values"):
-            Routine((element, Instr(Mnemonic.RTS)))
-
-
 class TestPrngRoutine:
     def test_has_21_instructions(self):
-        routine = cpu.prng_routine(0xDD, 0xDE, 0xDF, 0xE0)
-        assert len(routine.instrs) == 21
-        assert routine.instrs[-1].mnemonic is Mnemonic.RTS
-
-    def test_deterministic(self):
-        a = cpu.prng_routine(0xDD, 0xDE, 0xDF, 0xE0)
-        b = cpu.prng_routine(0xDD, 0xDE, 0xDF, 0xE0)
-        assert a == b
+        assert len(PRNG_ROUTINE) == 21
+        assert PRNG_ROUTINE[-1] == (Mnemonic.RTS, None)
 
     def test_known_buggy_run(self):
         # state 0x0033 collapses to zero on the shipped hardware behaviour
-        routine = cpu.prng_routine(0x10, 0x11, 0x12, 0x13)
+        routine = on_cells(0x10, 0x11, 0x12, 0x13)
         out = run_routine(routine, mem={0x10: 0x00, 0x11: 0x33, 0x12: 0, 0x13: 0})
         assert (out.mem[0x10], out.mem[0x11]) == (0x00, 0x00)
 
-    def test_template_routine_refuses_to_compile(self):
-        routine = cpu.prng_routine("W", "X", "Y", "Z")
-        with pytest.raises(ValueError, match="cannot compile a template routine"):
-            routine.compiled
+
+@functools.cache
+def compiled_routine(inc_sets_carry):
+    """PRNG_ROUTINE's ``(run, cells)``, compiled once for this module's tests."""
+    return cpu._compile(PRNG_ROUTINE, inc_sets_carry)
 
 
 def oracle_from(state, acc, carry):
     """The game's routine on ``state``, run through its compiled form from the given registers."""
-    run, cells = cpu._ORACLE_ROUTINE.compiled[False]
-    mem = {cpu.W_CELL: state >> 8, cpu.X_CELL: state & 0xFF, cpu.Y_CELL: 0, cpu.Z_CELL: 0}
-    _, _, *values = run(acc, carry, *[mem[addr] for addr in cells])
+    run, cells = compiled_routine(False)
+    mem = {"W": state >> 8, "X": state & 0xFF, "Y": 0, "Z": 0}
+    _, _, *values = run(acc, carry, *[mem[cell] for cell in cells])
     out = dict(zip(cells, values))
-    return (out[cpu.W_CELL] << 8) | out[cpu.X_CELL]
+    return (out["W"] << 8) | out["X"]
 
 
 class TestOracleStep:
@@ -220,26 +167,25 @@ class TestCompiledAgainstRun:
 
     @pytest.mark.parametrize("inc_sets_carry", [False, True])
     def test_oracle_routine_touches_w_y_x_z_in_that_order(self, inc_sets_carry):
-        cells = cpu._compile(cpu._ORACLE_ROUTINE, inc_sets_carry)[1]
-        assert cells == (cpu.W_CELL, cpu.Y_CELL, cpu.X_CELL, cpu.Z_CELL)
+        cells = cpu._compile(PRNG_ROUTINE, inc_sets_carry)[1]
+        assert cells == ("W", "Y", "X", "Z")
 
     @pytest.mark.parametrize("inc_sets_carry", [False, True])
     @pytest.mark.parametrize("acc, carry", [(0x00, 0), (0xFF, 1)])
     def test_oracle_program_on_every_state(self, inc_sets_carry, acc, carry):
-        routine = cpu._ORACLE_ROUTINE
-        compiled, cells = cpu._compile(routine, inc_sets_carry)
+        compiled, cells = cpu._compile(PRNG_ROUTINE, inc_sets_carry)
         for s in range(0x10000):
-            mem = {cpu.W_CELL: s >> 8, cpu.X_CELL: s & 0xFF, cpu.Y_CELL: 0, cpu.Z_CELL: 0}
-            got = compiled(acc, carry, *[mem[addr] for addr in cells])
-            expected = _run(routine, acc, carry, mem, inc_sets_carry)
-            assert got == (*expected, *[mem[addr] for addr in cells])
+            mem = {"W": s >> 8, "X": s & 0xFF, "Y": 0, "Z": 0}
+            got = compiled(acc, carry, *[mem[cell] for cell in cells])
+            expected = _run(PRNG_ROUTINE, acc, carry, mem, inc_sets_carry)
+            assert got == (*expected, *[mem[cell] for cell in cells])
 
     @pytest.mark.parametrize("inc_sets_carry", [False, True])
     @pytest.mark.parametrize("mnemonic", [m for m in Mnemonic if m is not Mnemonic.RTS])
     def test_each_instruction_form_at_byte_edges(self, mnemonic, inc_sets_carry):
         # the operand is cell 0x11 beside cell 0x10, so an address mix-up shows
-        operand = 0x5A if mnemonic is Mnemonic.LDA_IMM else None if mnemonic in cpu.IMPLIED else 0x11
-        routine = Routine((Instr(mnemonic, operand), Instr(Mnemonic.RTS)))
+        operand = 0x5A if mnemonic is Mnemonic.LDA_IMM else None if mnemonic in IMPLIED else 0x11
+        routine = ((mnemonic, operand), (Mnemonic.RTS, None))
         compiled, cells = cpu._compile(routine, inc_sets_carry)
         assert cells == ((0x11,) if operand == 0x11 else ())
         edges = (0x00, 0x01, 0x7F, 0x80, 0xFE, 0xFF)
@@ -257,16 +203,16 @@ class TestCompiledAgainstRun:
         rng = random.Random(3)
         forms = [m for m in Mnemonic if m is not Mnemonic.RTS]
         for _ in range(300):
-            instrs = []
+            routine = []
             for _ in range(rng.randrange(1, 25)):
                 m = rng.choice(forms)
-                if m in cpu.IMPLIED:
-                    instrs.append(Instr(m))
+                if m in IMPLIED:
+                    routine.append((m, None))
                 elif m is Mnemonic.LDA_IMM:
-                    instrs.append(Instr(m, rng.randrange(0x100)))
+                    routine.append((m, rng.randrange(0x100)))
                 else:
-                    instrs.append(Instr(m, rng.choice((0x20, 0x21, 0x22))))
-            routine = Routine(tuple(instrs) + (Instr(Mnemonic.RTS),))
+                    routine.append((m, rng.choice((0x20, 0x21, 0x22))))
+            routine.append((Mnemonic.RTS, None))
             compiled, cells = cpu._compile(routine, inc_sets_carry)
             mem = {addr: rng.randrange(0x100) for addr in (0x20, 0x21, 0x22)}
             acc, carry = rng.randrange(0x100), rng.randrange(2)
@@ -276,33 +222,24 @@ class TestCompiledAgainstRun:
 
     def test_nothing_is_compiled_at_import(self):
         src = str(Path(cpu.__file__).resolve().parents[1])
-        code = (
-            "import entombed.cli, entombed.cpu as c; "
-            "print('compiled' in vars(c._ORACLE_ROUTINE))"
-        )
+        code = "import entombed.cli, entombed.cpu as c; print(c._RUNS)"
         env = {**os.environ, "PYTHONPATH": src}
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=20, env=env)
-        assert out.stdout == "False\n", out.stderr
+        assert out.stdout == "{}\n", out.stderr
 
-    def test_a_compiled_routine_is_not_hashed_again(self, monkeypatch):
-        routine = cpu.prng_routine(0x10, 0x11, 0x12, 0x13)
-        mem = {0x10: 0x12, 0x11: 0x34, 0x12: 0, 0x13: 0}
-        run_routine(routine, mem=mem)
-        compiled = routine.compiled
-        hashes = []
-        instr_hash = Instr.__hash__
+    def test_compiled_once_per_carry_mode(self, monkeypatch):
+        compiles, compile_ = [], cpu._compile
 
-        def counting_hash(self):
-            hashes.append(self)
-            return instr_hash(self)
+        def counting_compile(routine, inc_sets_carry):
+            compiles.append(inc_sets_carry)
+            return compile_(routine, inc_sets_carry)
 
-        monkeypatch.setattr(Instr, "__hash__", counting_hash)
-        for inc_sets_carry in (False, True) * 50:
-            run_routine(routine, mem=mem, inc_sets_carry=inc_sets_carry)
-        assert hashes == []
-        assert routine.compiled is compiled
-        hash(routine)  # what a cache keyed by the routine would pay per call
-        assert len(hashes) == 21
+        monkeypatch.setattr(cpu, "_RUNS", {})
+        monkeypatch.setattr(cpu, "_compile", counting_compile)
+        for inc_sets_carry in (False, True):
+            for s in range(0x10000):
+                cpu.oracle_prng_step(s, inc_sets_carry)
+        assert compiles == [False, True]
 
 
 # Cell layouts other than the game's own 0xDD-0xE0: consecutive low cells,
@@ -317,7 +254,7 @@ class TestCompiledOnOtherCells:
     )
     def test_matches_step_exhaustively(self, cells, inc_sets_carry, step):
         w, x, y, z = cells
-        run, touched = cpu.prng_routine(w, x, y, z).compiled[inc_sets_carry]
+        run, touched = cpu._compile(on_cells(w, x, y, z), inc_sets_carry)
         for s in range(0x10000):
             mem = {w: s >> 8, x: s & 0xFF, y: 0, z: 0}
             _, _, *values = run(0, 0, *[mem[addr] for addr in touched])
@@ -327,10 +264,10 @@ class TestCompiledOnOtherCells:
     @pytest.mark.parametrize("cells", OTHER_CELLS)
     def test_untouched_cells_come_back_unchanged(self, cells):
         w, x, y, z = cells
-        routine = cpu.prng_routine(w, x, y, z)
+        routine = on_cells(w, x, y, z)
         # untouched cells before, between and after the routine's own
         mem = {0x00: 0xA5, w: 0x12, x: 0x34, 0x50: 0x5A, y: 0xFF, z: 0x01, 0xFF: 0xC3}
-        assert routine.compiled[False][1] == (w, y, x, z)
+        assert cpu._compile(routine, False)[1] == (w, y, x, z)
         out = run_routine(routine, acc=0x77, carry=1, mem=mem)
         assert {a: out.mem[a] for a in (0x00, 0x50, 0xFF)} == {0x00: 0xA5, 0x50: 0x5A, 0xFF: 0xC3}
         assert set(out.mem) == set(mem)
@@ -338,11 +275,11 @@ class TestCompiledOnOtherCells:
 
     def test_untouched_cell_unchanged_by_single_instructions(self):
         for instr in (
-            Instr(Mnemonic.STA_ZP, 0x10),
-            Instr(Mnemonic.ADC_ZP, 0x10),
-            Instr(Mnemonic.ROL_ZP, 0x10),
-            Instr(Mnemonic.INC_ZP, 0x10),
-            Instr(Mnemonic.LDA_IMM, 0x11),
+            (Mnemonic.STA_ZP, 0x10),
+            (Mnemonic.ADC_ZP, 0x10),
+            (Mnemonic.ROL_ZP, 0x10),
+            (Mnemonic.INC_ZP, 0x10),
+            (Mnemonic.LDA_IMM, 0x11),
         ):
             out = run_one([instr], acc=0x80, carry=1, mem={0x11: 0x3C, 0x10: 0xFF})
             assert out.mem[0x11] == 0x3C
@@ -359,20 +296,24 @@ class TestOracleStepRangeChecks:
 
 class TestAssembler:
     def test_concrete_routine_is_37_bytes(self):
-        out = cpu.assemble(cpu.prng_routine(0xDD, 0xDE, 0xDF, 0xE0))
-        assert len(out) == 37
-        assert all(isinstance(b, int) for b in out)
+        out = routine_bytes(W=0xDD, X=0xDE, Y=0xDF, Z=0xE0)
+        assert len(cpu.assemble()) == len(out) == 37
 
     def test_prng_routine_bytes(self):
-        # the game's routine as listed byte by byte, independent of Mnemonic
-        expected = bytes.fromhex(
+        # the game's bytes with each cell operand replaced by its slot name
+        assert cpu.assemble() == [
+            0xA5, "W", 0x85, "Y", 0xA5, "X", 0x85, "Z", 0x0A, 0x26, "W", 0x0A, 0x26, "W", 0x18, 0x65,
+            "Z", 0x85, "X", 0xA9, 0x00, 0x65, "W", 0x18, 0x65, "Y", 0x85, "W", 0xA9, 0x00, 0xE6, "X",
+            0x65, "W", 0x85, "W", 0x60,
+        ]
+        # bound to the game's cells $DD-$E0, the routine as listed byte by byte
+        assert routine_bytes(W=0xDD, X=0xDE, Y=0xDF, Z=0xE0) == bytes.fromhex(
             "a5 dd 85 df a5 de 85 e0 0a 26 dd 0a 26 dd 18 65"
             " e0 85 de a9 00 65 dd 18 65 df 85 dd a9 00 e6 de 65 dd 85 dd 60"
         )
-        assert cpu.assemble(cpu.prng_routine(0xDD, 0xDE, 0xDF, 0xE0)) == list(expected)
 
     def test_template_has_14_slots(self):
-        out = cpu.assemble(cpu.prng_routine("W", "X", "Y", "Z"))
+        out = cpu.assemble()
         assert len(out) == 37
         slots = [el for el in out if isinstance(el, str)]
         assert len(slots) == 14
@@ -382,46 +323,18 @@ class TestAssembler:
         assert slots.count("Z") == 2
 
     def test_implied_instruction_is_one_byte(self):
-        out = cpu.assemble(Routine((Instr(Mnemonic.CLC), Instr(Mnemonic.RTS))))
-        assert out == [0x18, 0x60]
+        # ASL A, CLC and RTS are followed directly by the next opcode
+        out = cpu.assemble()
+        pos = 0
+        for mnemonic, _ in PRNG_ROUTINE:
+            assert out[pos] == mnemonic.value
+            pos += 1 if mnemonic in IMPLIED else 2
+        assert pos == len(out)
 
     def test_round_trip_of_prng_routine(self):
-        routine = cpu.prng_routine(0xDD, 0xDE, 0xDF, 0xE0)
-        assert disassemble(cpu.assemble(routine)) == routine
-
-    def test_round_trip_of_random_routines(self):
-        rng = random.Random(1)
-        operand_forms = [m for m in Mnemonic if m not in cpu.IMPLIED]
-        for _ in range(200):
-            instrs = []
-            for _ in range(rng.randrange(1, 30)):
-                if rng.random() < 0.4:
-                    m = rng.choice((Mnemonic.ASL_A, Mnemonic.CLC))
-                    instrs.append(Instr(m))
-                else:
-                    instrs.append(Instr(rng.choice(operand_forms), rng.randrange(0x100)))
-            routine = Routine(tuple(instrs) + (Instr(Mnemonic.RTS),))
-            assert disassemble(cpu.assemble(routine)) == routine
-
-    def test_encoding_is_injective_over_random_pairs(self):
-        rng = random.Random(2)
-
-        def random_routine():
-            instrs = []
-            for _ in range(rng.randrange(1, 12)):
-                m = rng.choice(list(Mnemonic))
-                if m is Mnemonic.RTS:
-                    continue
-                if m in cpu.IMPLIED:
-                    instrs.append(Instr(m))
-                else:
-                    instrs.append(Instr(m, rng.randrange(0x100)))
-            return Routine(tuple(instrs) + (Instr(Mnemonic.RTS),))
-
-        for _ in range(300):
-            a, b = random_routine(), random_routine()
-            if a != b:
-                assert cpu.assemble(a) != cpu.assemble(b)
+        assert tuple(disassemble(cpu.assemble())) == PRNG_ROUTINE
+        concrete = disassemble(list(routine_bytes(W=0x80, X=0x81, Y=0x90, Z=0x91)))
+        assert tuple(concrete) == on_cells(0x80, 0x81, 0x90, 0x91)
 
     def test_disassemble_rejects_wildcard_opcode(self):
         with pytest.raises(ValueError):

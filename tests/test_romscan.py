@@ -15,16 +15,10 @@ from entombed.romscan import (
     scan_corpus,
 )
 
-from entombed.cpu import assemble, prng_routine
-
+from reference_cpu import routine_bytes
 from reference_romscan import brute_force_scan
 
 ENTOMBED_BINDINGS = {"W": 0xDD, "X": 0xDE, "Y": 0xDF, "Z": 0xE0}
-
-
-def routine_bytes(bindings) -> bytes:
-    """The game's routine, RTS included, assembled on the cells ``bindings`` names."""
-    return bytes(assemble(prng_routine(*(bindings[slot] for slot in "WXYZ"))))
 
 
 def noise_without_hits(rng: random.Random, size: int, sig: SignatureTemplate) -> bytes:
@@ -84,7 +78,7 @@ class TestScanBytes:
         sig = prng_signature()
         bindings = {"W": 0x10, "X": 0x11, "Y": 0x12, "Z": 0x13}
         noise = noise_without_hits(rng, 4096, sig)
-        buf = noise[:100] + routine_bytes(bindings) + noise[100 + 37 :]
+        buf = noise[:100] + routine_bytes(**bindings) + noise[100 + 37 :]
         hits = scan_bytes(buf, sig)
         assert [(h.offset, h.bindings) for h in hits] == [(100, bindings)]
 
@@ -92,7 +86,7 @@ class TestScanBytes:
         rng = random.Random(101)
         sig = prng_signature()
         noise = noise_without_hits(rng, 4096, sig)
-        blob = bytearray(routine_bytes(ENTOMBED_BINDINGS))
+        blob = bytearray(routine_bytes(**ENTOMBED_BINDINGS))
         blob[0] ^= 0xFF  # first fixed byte
         buf = noise[:100] + bytes(blob) + noise[100 + 37 :]
         assert scan_bytes(buf, sig) == []
@@ -172,10 +166,10 @@ class TestScanBytes:
         sig = prng_signature()
         bindings = {"W": 0xDD, "X": 0xDE, "Y": 0xDF, "Z": 0xE0}
         noise = noise_without_hits(rng, 1024, sig)
-        buf = noise[:200] + routine_bytes(bindings) + noise[200 + 37 :]
+        buf = noise[:200] + routine_bytes(**bindings) + noise[200 + 37 :]
         for hit in scan_bytes(buf, sig, source="buf"):
             assert hit.source == "buf"
-            assert buf[hit.offset : hit.offset + 37] == routine_bytes(hit.bindings)
+            assert buf[hit.offset : hit.offset + 37] == routine_bytes(**hit.bindings)
 
     def test_randomized_plants_always_found(self):
         rng = random.Random(103)
@@ -185,7 +179,7 @@ class TestScanBytes:
             offset = rng.randrange(0, size - 37 + 1)
             bindings = {name: rng.randrange(0x100) for name in ("W", "X", "Y", "Z")}
             noise = noise_without_hits(rng, size, sig)
-            buf = noise[:offset] + routine_bytes(bindings) + noise[offset + 37 :]
+            buf = noise[:offset] + routine_bytes(**bindings) + noise[offset + 37 :]
             hits = scan_bytes(buf, sig)
             assert (offset, bindings) in [(h.offset, h.bindings) for h in hits]
 
@@ -272,7 +266,7 @@ class TestScanCorpus:
             if i < 3:
                 offset = rng.randrange(0, 1024 - 37)
                 bindings = {"W": 0x40 + i, "X": 0x50 + i, "Y": 0x60 + i, "Z": 0x70 + i}
-                data = noise[:offset] + routine_bytes(bindings) + noise[offset + 37 :]
+                data = noise[:offset] + routine_bytes(**bindings) + noise[offset + 37 :]
                 planted[str(tmp_path / f"rom{i}.bin")] = (offset, bindings)
             else:
                 data = noise
