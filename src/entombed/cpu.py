@@ -16,17 +16,24 @@ straight-line Python function whose locals are the cells it touches, so
 the arithmetic in :mod:`entombed.prng` can be checked against what the
 silicon would do, including the carry behaviour responsible for the bug.
 :func:`oracle_prng_step` runs :data:`PRNG_ROUTINE` that way, compiling it
-once per carry mode on first use. :func:`assemble` encodes the same list
-as the byte signature :mod:`entombed.romscan` scans for, with the cell
-operands left as named wildcards.
+once per carry mode on first use; :func:`prng_lanes` runs it over all 65536
+states at once, for the successor tables that :mod:`entombed.prng` and the
+maze model read. :func:`assemble` encodes the same list as the byte
+signature :mod:`entombed.romscan` scans for, cell operands left as wildcards.
 """
 
 from __future__ import annotations
 
+import sys
+from array import array
 from enum import Enum
+from functools import cache
 from typing import Callable, Dict, List, Tuple, Union
 
-from .prng import _check_word
+
+def _check_word(value: int, name: str = "state") -> None:
+    if not isinstance(value, int) or not 0 <= value <= 0xFFFF:
+        raise ValueError(f"{name} must be a 16-bit value, got {value!r}")
 
 
 # The nine instruction forms, each valued at its standard MOS 6502 opcode
@@ -72,21 +79,23 @@ PRNG_ROUTINE = (
 
 
 # One line of Python per instruction form; {a} is the operand, a cell
-# (local m{a}) or LDA_IMM's byte.
+# (local m{a}) or LDA_IMM's byte. ONE is 1 and M8 is 0xFF in every field;
+# on plain bytes they are rendered away (_SCALAR), so a call pays no mask.
 _TEMPLATES = {
     Mnemonic.STA_ZP: "m{a} = acc",
-    Mnemonic.ADC_ZP: "acc += m{a} + carry; carry, acc = acc >> 8, acc & 0xFF",
+    Mnemonic.ADC_ZP: "acc += m{a} + carry; carry, acc = (acc >> 8) & ONE, acc & M8",
     Mnemonic.LDA_ZP: "acc = m{a}",
-    Mnemonic.LDA_IMM: "acc = {a}",
-    Mnemonic.ASL_A: "carry, acc = acc >> 7, (acc << 1) & 0xFF",
-    Mnemonic.ROL_ZP: "m{a}, carry = ((m{a} << 1) | carry) & 0xFF, m{a} >> 7",
+    Mnemonic.LDA_IMM: "acc = {a} * ONE",
+    Mnemonic.ASL_A: "carry, acc = (acc >> 7) & ONE, (acc << 1) & M8",
+    Mnemonic.ROL_ZP: "m{a}, carry = ((m{a} << 1) | carry) & M8, (m{a} >> 7) & ONE",
     Mnemonic.CLC: "carry = 0",
-    Mnemonic.INC_ZP: "m{a} = (m{a} + 1) & 0xFF",
+    Mnemonic.INC_ZP: "m{a} = (m{a} + ONE) & M8",
 }
-_INC_SETS_CARRY = "carry = int(m{a} == 0)"
+_INC_SETS_CARRY = "carry = (((m{a} + M8) >> 8) & ONE) ^ ONE"
+_SCALAR = ((" & ONE", ""), (" * ONE", ""), ("ONE", "1"), ("M8", "0xFF"))
 
 
-def _compile(routine, inc_sets_carry: bool) -> Tuple[Callable, Tuple]:
+def _compile(routine, inc_sets_carry: bool, fields: int = 0) -> Tuple[Callable, Tuple]:
     """Compile ``(Mnemonic, operand)`` pairs, up to the first RTS, into ``(run, cells)``.
 
     ``cells`` are the cell operands the code touches, in first-use order,
@@ -95,7 +104,8 @@ def _compile(routine, inc_sets_carry: bool) -> Tuple[Callable, Tuple]:
     body is one template line per instruction, with no loop and no
     dispatch; this is exact because the repertoire never branches. Only
     module data and test data reach it, so its operands are the slot
-    names of :data:`PRNG_ROUTINE` or plain ints.
+    names of :data:`PRNG_ROUTINE` or plain ints. With ``fields`` > 0, each
+    value is one int of that many 16-bit fields, each field its own run.
     """
     cells: Dict[object, None] = {}  # insertion-ordered set
     body = []
@@ -108,9 +118,12 @@ def _compile(routine, inc_sets_carry: bool) -> Tuple[Callable, Tuple]:
         if mnemonic is Mnemonic.INC_ZP and inc_sets_carry:
             body.append(_INC_SETS_CARRY.format(a=a))
     values = "".join(f"m{cell}, " for cell in cells)
-    lines = [f"def run(acc, carry, {values}):", *body, f"return acc, carry, {values}"]
-    namespace: dict = {}
-    exec("\n    ".join(lines), namespace)
+    source = "\n    ".join([f"def run(acc, carry, {values}):", *body, f"return acc, carry, {values}"])
+    for mask, text in () if fields else _SCALAR:
+        source = source.replace(mask, text)
+    one = int.from_bytes(b"\1\0" * fields, "little")
+    namespace = {"ONE": one, "M8": 0xFF * one}
+    exec(source, namespace)
     return namespace["run"], tuple(cells)
 
 
@@ -130,6 +143,27 @@ def oracle_prng_step(state: int, inc_sets_carry: bool = False) -> int:
         run = _RUNS[mode] = _compile(PRNG_ROUTINE, mode)[0]
     _, _, w, _, x, _ = run(0, 0, state >> 8, 0, state & 0xFF, 0)  # cells W, Y, X, Z
     return (w << 8) | x
+
+
+@cache
+def prng_lanes(inc_sets_carry: bool) -> memoryview:
+    """Every state's successor under :data:`PRNG_ROUTINE`, as a read-only view of 65536 ints.
+
+    Run SWAR-wide (SIMD within a register: Lamport, CACM 1975) from a zero
+    start, one 16-bit field per state, once per process and carry mode:
+    the historical carry is ``buggy_step``, the fixed one ``correct_step``.
+    """
+    n = 4096  # states per run, so each int stays at 64 Kibit
+    run = _compile(PRNG_ROUTINE, inc_sets_carry, n)[0]
+    one = int.from_bytes(b"\1\0" * n, "little")
+    # packed and unpacked in the array's own byte order, so each state keeps its place
+    first = int.from_bytes(array("H", range(n)).tobytes(), sys.byteorder)
+    table = array("H")
+    for base in range(0, 0x10000, n):
+        states = first + base * one
+        _, _, w, _, x, _ = run(0, 0, (states >> 8) & (0xFF * one), 0, states & (0xFF * one), 0)
+        table.frombytes(((w << 8) | x).to_bytes(2 * n, sys.byteorder))
+    return memoryview(table).toreadonly()
 
 
 def assemble() -> List[Union[int, str]]:

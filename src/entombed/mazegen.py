@@ -34,7 +34,7 @@ from enum import Enum
 from functools import cache, cached_property
 from typing import List, Optional, Protocol, Tuple
 
-from .prng import _check_word, buggy_step
+from .prng import _check_word, buggy_step, successor_table
 
 
 class CellRule(Enum):
@@ -131,14 +131,18 @@ class ModelBitSource:
     2^(k+1) (3.2.1.1, 3.6), so the draws cycle with period exactly 256 and
     the seed only picks the phase ``seed & 0xFF``: seeds that share a low
     byte draw the same bits, and no draw shows the carry defect.
+
+    ``state`` keeps the full 16-bit word, stepped by a read of
+    ``successor_table(buggy_step)``, the routine's own table for all states.
     """
 
     def __init__(self, seed: int):
         _check_word(seed, "seed")
         self.state = seed
+        self._successor = successor_table(buggy_step)
 
     def draw(self, kind: DrawKind) -> int:
-        self.state = buggy_step(self.state)
+        self.state = self._successor[self.state]
         return (self.state >> 7) & 1
 
 

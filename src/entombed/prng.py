@@ -17,7 +17,9 @@ was aiming for.
 
 All arithmetic here is explicitly modular (mod 256 per byte, mod 65536
 per word); nothing relies on native integer width. Every function is
-pure, so the module is safe to use from any number of threads.
+pure apart from each generator's :func:`successor_table`, built once per
+process and read-only, so the module is safe to use from any number of
+threads.
 """
 
 from __future__ import annotations
@@ -27,12 +29,9 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, List
 
+from .cpu import _check_word, prng_lanes
+
 WORD_COUNT = 0x10000
-
-
-def _check_word(value: int, name: str = "state") -> None:
-    if not isinstance(value, int) or not 0 <= value <= 0xFFFF:
-        raise ValueError(f"{name} must be a 16-bit value, got {value!r}")
 
 
 def correct_step(state: int) -> int:
@@ -70,6 +69,25 @@ def buggy_step(state: int) -> int:
     return (high << 8) | ((low_sum + 1) & 0xFF)
 
 
+def successor_table(step: Callable[[int], int]) -> memoryview:
+    """``step(state)`` for all 65536 states, as a read-only view of ints.
+
+    For :func:`buggy_step` and :func:`correct_step` it is the game's routine
+    run with the historical or fixed carry (:func:`entombed.cpu.prng_lanes`),
+    built once per process. Any other ``step`` is called once per state, and
+    ``ValueError`` names the first state it maps outside [0, 0xFFFF].
+    """
+    if step in (buggy_step, correct_step):
+        return prng_lanes(step is correct_step)
+    table = array("H", bytes(2 * WORD_COUNT))
+    for state in range(WORD_COUNT):
+        nxt = step(state)
+        if not 0 <= nxt <= 0xFFFF:
+            raise ValueError(f"step maps state 0x{state:04x} to {nxt!r}, outside [0, 0xFFFF]")
+        table[state] = nxt
+    return memoryview(table).toreadonly()
+
+
 def canonical_seed(b: int) -> int:
     """Build a seed the way the game does: one byte duplicated into both halves."""
     if type(b) is not int or not 0 <= b <= 0xFF:  # no bool or other int subclass
@@ -89,10 +107,9 @@ class AgreementReport:
 
 
 def compare_all_steps() -> AgreementReport:
-    """Compare buggy_step against correct_step for every 16-bit state; deterministic."""
+    """Compare buggy_step against correct_step for every 16-bit state, read off their tables."""
     mismatch = low_equal = plus_one = minus_one = 0
-    for state in range(WORD_COUNT):
-        b, c = buggy_step(state), correct_step(state)
+    for b, c in zip(successor_table(buggy_step), successor_table(correct_step)):
         if b != c:
             delta = ((b >> 8) - (c >> 8)) & 0xFF
             mismatch += 1
@@ -132,14 +149,14 @@ class RhoDecomposition:
 
     Every orbit of a map on a finite set is rho-shaped: a tail of distinct
     states leading into a cycle (Flajolet & Odlyzko, "Random Mapping
-    Statistics", EUROCRYPT '89). ``successor[state]`` is ``step(state)``;
+    Statistics", EUROCRYPT '89). ``successor`` is the read-only :func:`successor_table`;
     ``tail[state]`` is the number of steps before the state's orbit enters
     its cycle (0 for a state on a cycle); ``cycle[state]`` is that cycle's
     length. The orbit from ``state`` thus holds ``tail + cycle`` distinct
     values, the state itself included.
     """
 
-    successor: array
+    successor: memoryview
     tail: array
     cycle: array
 
@@ -153,24 +170,20 @@ class RhoDecomposition:
 def rho_decomposition(step: Callable[[int], int] = buggy_step) -> RhoDecomposition:
     """Label all 65536 states of ``step`` with their tail and cycle lengths.
 
-    One pass, O(65536) time and memory, no recursion: ``step`` is called
-    once per state to build the successor table, then each unlabelled
-    state is walked forward, marking the states on the walk, until it
-    meets a labelled state (the walk joins a known tree or cycle) or a
-    marked one (the walk has closed a new cycle); the walk's states are
-    then labelled back to front. Every state is walked exactly once.
+    One pass, O(65536) time and memory, no recursion: each unlabelled
+    state of :func:`successor_table` (for the two generators the table
+    built once per process; any other ``step`` is called once per state)
+    is walked forward, marking the states on the walk, until it meets a
+    labelled state (the walk joins a known tree or cycle) or a marked one
+    (the walk has closed a new cycle); the walk's states are then
+    labelled back to front. Every state is walked exactly once.
 
     Raises ``ValueError`` naming the state if ``step`` maps a state
     outside [0, 0xFFFF].
     """
-    successor = array("H", bytes(2 * WORD_COUNT))
-    for state in range(WORD_COUNT):
-        nxt = step(state)
-        if not 0 <= nxt <= 0xFFFF:
-            raise ValueError(f"step maps state 0x{state:04x} to {nxt!r}, outside [0, 0xFFFF]")
-        successor[state] = nxt
-    tail = array("l", [_UNSEEN]) * WORD_COUNT
-    cycle = array("l", [0]) * WORD_COUNT
+    successor = successor_table(step)
+    tail = array("i", [_UNSEEN]) * WORD_COUNT  # 4-byte labels: no tail or cycle exceeds 65536
+    cycle = array("i", [0]) * WORD_COUNT
     path = array("H")
     for start in range(WORD_COUNT):
         if tail[start] != _UNSEEN:

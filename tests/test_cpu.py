@@ -3,6 +3,7 @@
 import functools
 import os
 import random
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -23,6 +24,23 @@ def run_routine(routine, acc=0, carry=0, mem=None, inc_sets_carry=False):
     acc, carry, *values = run(acc, carry, *[mem[addr] for addr in cells])
     mem.update(zip(cells, values))
     return SimpleNamespace(acc=acc, carry=carry, mem=mem)
+
+
+def run_fields(routine, inc_sets_carry, inputs):
+    """Run ``routine`` SWAR-wide, one 16-bit field per ``(acc, carry, mem)`` input.
+
+    Returns one ``(acc, carry, *values)`` tuple per input, unpacked field by field.
+    """
+    run, cells = cpu._compile(routine, inc_sets_carry, len(inputs))
+    layout = f"<{len(inputs)}H"  # field i at bit 16 * i
+
+    def pack(values):
+        return int.from_bytes(struct.pack(layout, *values), "little")
+
+    columns = [[acc for acc, _, _ in inputs], [carry for _, carry, _ in inputs]]
+    columns += [[mem[cell] for _, _, mem in inputs] for cell in cells]
+    out = run(*map(pack, columns))
+    return list(zip(*(struct.unpack(layout, value.to_bytes(2 * len(inputs), "little")) for value in out)))
 
 
 def run_one(instrs, **kwargs):
@@ -173,12 +191,18 @@ class TestCompiledAgainstRun:
     @pytest.mark.parametrize("inc_sets_carry", [False, True])
     @pytest.mark.parametrize("acc, carry", [(0x00, 0), (0xFF, 1)])
     def test_oracle_program_on_every_state(self, inc_sets_carry, acc, carry):
+        # the scalar form, the SWAR form on all states at once, and the lanes'
+        # successor table (run from a zero start) against _run, state by state
         compiled, cells = cpu._compile(PRNG_ROUTINE, inc_sets_carry)
-        for s in range(0x10000):
-            mem = {"W": s >> 8, "X": s & 0xFF, "Y": 0, "Z": 0}
+        mems = [{"W": s >> 8, "X": s & 0xFF, "Y": 0, "Z": 0} for s in range(0x10000)]
+        fields = run_fields(PRNG_ROUTINE, inc_sets_carry, [(acc, carry, mem) for mem in mems])
+        lanes = cpu.prng_lanes(inc_sets_carry)
+        assert len(lanes) == len(fields) == 0x10000
+        for s, mem in enumerate(mems):
             got = compiled(acc, carry, *[mem[cell] for cell in cells])
             expected = _run(PRNG_ROUTINE, acc, carry, mem, inc_sets_carry)
-            assert got == (*expected, *[mem[cell] for cell in cells])
+            assert got == fields[s] == (*expected, *[mem[cell] for cell in cells])
+            assert lanes[s] == (mem["W"] << 8) | mem["X"]
 
     @pytest.mark.parametrize("inc_sets_carry", [False, True])
     @pytest.mark.parametrize("mnemonic", [m for m in Mnemonic if m is not Mnemonic.RTS])
@@ -189,14 +213,13 @@ class TestCompiledAgainstRun:
         compiled, cells = cpu._compile(routine, inc_sets_carry)
         assert cells == ((0x11,) if operand == 0x11 else ())
         edges = (0x00, 0x01, 0x7F, 0x80, 0xFE, 0xFF)
-        for acc in edges:
-            for carry in (0, 1):
-                for value in edges:
-                    mem = {0x10: 0x33, 0x11: value}
-                    got = compiled(acc, carry, *[mem[addr] for addr in cells])
-                    expected = _run(routine, acc, carry, mem, inc_sets_carry)
-                    assert got == (*expected, *[mem[addr] for addr in cells])
-                    assert mem[0x10] == 0x33
+        inputs = [(acc, carry, {0x10: 0x33, 0x11: value}) for acc in edges for carry in (0, 1) for value in edges]
+        fields = run_fields(routine, inc_sets_carry, inputs)  # every edge case at once, one field each
+        for (acc, carry, mem), field in zip(inputs, fields):
+            got = compiled(acc, carry, *[mem[addr] for addr in cells])
+            expected = _run(routine, acc, carry, mem, inc_sets_carry)
+            assert got == field == (*expected, *[mem[addr] for addr in cells])
+            assert mem[0x10] == 0x33
 
     @pytest.mark.parametrize("inc_sets_carry", [False, True])
     def test_random_routines_on_three_cells(self, inc_sets_carry):
@@ -214,18 +237,23 @@ class TestCompiledAgainstRun:
                     routine.append((m, rng.choice((0x20, 0x21, 0x22))))
             routine.append((Mnemonic.RTS, None))
             compiled, cells = cpu._compile(routine, inc_sets_carry)
-            mem = {addr: rng.randrange(0x100) for addr in (0x20, 0x21, 0x22)}
-            acc, carry = rng.randrange(0x100), rng.randrange(2)
-            got = compiled(acc, carry, *[mem[addr] for addr in cells])
-            expected = _run(routine, acc, carry, mem, inc_sets_carry)
-            assert got == (*expected, *[mem[addr] for addr in cells])
+            inputs = [
+                (rng.randrange(0x100), rng.randrange(2), {addr: rng.randrange(0x100) for addr in (0x20, 0x21, 0x22)})
+                for _ in range(16)
+            ]
+            fields = run_fields(routine, inc_sets_carry, inputs)  # 16 inputs at once, one field each
+            for (acc, carry, mem), field in zip(inputs, fields):
+                got = compiled(acc, carry, *[mem[addr] for addr in cells])
+                expected = _run(routine, acc, carry, mem, inc_sets_carry)
+                assert got == field == (*expected, *[mem[addr] for addr in cells])
 
     def test_nothing_is_compiled_at_import(self):
+        # neither a compiled run nor a successor table before the first command runs
         src = str(Path(cpu.__file__).resolve().parents[1])
-        code = "import entombed.cli, entombed.cpu as c; print(c._RUNS)"
+        code = "import entombed.cli as cli, entombed.cpu as c; cli.build_parser(); print(c._RUNS, c.prng_lanes.cache_info())"
         env = {**os.environ, "PYTHONPATH": src}
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=20, env=env)
-        assert out.stdout == "{}\n", out.stderr
+        assert out.stdout == "{} CacheInfo(hits=0, misses=0, maxsize=None, currsize=0)\n", out.stderr
 
     def test_compiled_once_per_carry_mode(self, monkeypatch):
         compiles, compile_ = [], cpu._compile

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import entombed.mazegen
+from entombed import prng
 from entombed.mazegen import (
     CellRule,
     ConstantBitSource,
@@ -281,6 +282,17 @@ class TestSources:
         for bad in (0x10000, -1, 1.5, "1"):
             with pytest.raises(ValueError):
                 ModelBitSource(bad)
+
+    @pytest.mark.parametrize("seed", [0, 1, 0xB5B5, 0xFFFF])
+    def test_model_source_draws_bit_7_of_a_buggy_step_walk(self, seed):
+        # The source steps through a successor table; the walk here calls
+        # buggy_step itself, and the state is the whole 16-bit word.
+        source = ModelBitSource(seed)
+        state = seed
+        for _ in range(1000):
+            state = prng.buggy_step(state)
+            assert source.draw(DrawKind.MID) == (state >> 7) & 1
+            assert source.state == state
 
 
 class TestGenerateMaze:

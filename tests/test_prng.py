@@ -3,6 +3,7 @@
 import pytest
 
 from entombed import prng
+from entombed.mazegen import DrawKind, ModelBitSource
 
 from reference_prng import orbit_survey
 
@@ -243,3 +244,32 @@ class TestRhoDecomposition:
         rho = prng.rho_decomposition(lambda s: moves.get(s, s))
         assert rho.cycle_lengths() == [1] * (0x10000 - 6) + [2, 3]
         assert (rho.tail[0xFFFF], rho.cycle[0xFFFF]) == (1, 3)
+
+
+class TestSuccessorTable:
+    @pytest.mark.parametrize("step", [prng.buggy_step, prng.correct_step])
+    def test_generator_table_is_its_step_function_built_once(self, step):
+        # the table comes from the routine's lanes; the step functions are the oracle
+        table = prng.successor_table(step)
+        assert list(table) == [step(s) for s in range(0x10000)]
+        assert prng.successor_table(step) is table
+        assert prng.rho_decomposition(step).successor is table
+
+    def test_other_steps_are_called_once_per_state(self):
+        calls = []
+        table = prng.successor_table(lambda s: calls.append(s) or _low_byte_square_plus_one(s))
+        assert calls == list(range(0x10000))
+        assert list(table) == [_low_byte_square_plus_one(s) for s in range(0x10000)]
+
+    @pytest.mark.parametrize("step", [prng.buggy_step, prng.correct_step, _low_byte_square_plus_one])
+    def test_no_caller_can_write_to_a_table(self, step, report):
+        for table in (prng.successor_table(step), prng.rho_decomposition(step).successor):
+            with pytest.raises(TypeError):
+                table[0x0033] = 0x1234
+            assert table[0x0033] == step(0x0033)
+        # a later decomposition, comparison and model draw read the routine's table unchanged
+        assert prng.rho_decomposition().successor[0x0033] == prng.buggy_step(0x0033)
+        assert prng.compare_all_steps() == report
+        source = ModelBitSource(0x0033)
+        source.draw(DrawKind.MID)
+        assert source.state == prng.buggy_step(0x0033)

@@ -15,9 +15,9 @@ HERE = Path(__file__).resolve().parent
 
 FORBIDDEN = {
     "reference_cpu": {
-        "_compile", "_TEMPLATES", "_INC_SETS_CARRY", "_RUNS", "oracle_prng_step",
+        "_compile", "_TEMPLATES", "_INC_SETS_CARRY", "_RUNS", "oracle_prng_step", "prng_lanes",
     },
-    "reference_prng": {"rho_decomposition", "canonical_seed_survey"},
+    "reference_prng": {"rho_decomposition", "canonical_seed_survey", "successor_table", "prng_lanes"},
     "reference_mazegen": {"generate_maze", "nibbles", "_nibble"},
     "reference_romscan": {"scan_bytes", "plan"},
 }
