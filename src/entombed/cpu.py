@@ -12,14 +12,13 @@ modelled; the routine never branches and never reads the others.
 Decimal mode is assumed off, as it is in the game.
 
 :func:`_compile` turns a routine, up to its first RTS, into one
-straight-line Python function whose locals are the cells it touches, so
-the arithmetic in :mod:`entombed.prng` can be checked against what the
-silicon would do, including the carry behaviour responsible for the bug.
-:func:`oracle_prng_step` runs :data:`PRNG_ROUTINE` that way, compiling it
-once per carry mode on first use; :func:`prng_lanes` runs it over all 65536
-states at once, for the successor tables that :mod:`entombed.prng` and the
-maze model read. :func:`assemble` encodes the same list as the byte
-signature :mod:`entombed.romscan` scans for, cell operands left as wildcards.
+straight-line Python function whose locals are the cells it touches, each
+an int of 16-bit fields, one run per field, so :mod:`entombed.prng`'s
+arithmetic can be checked against what the silicon does, carry bug included.
+:func:`prng_lanes` runs :data:`PRNG_ROUTINE` so over all 65536 states, once
+per carry mode, for the successor tables that :mod:`entombed.prng`, the
+maze model and :func:`oracle_prng_step` read. :func:`assemble` encodes it
+as the byte signature :mod:`entombed.romscan` scans for, cells left as wildcards.
 """
 
 from __future__ import annotations
@@ -79,8 +78,8 @@ PRNG_ROUTINE = (
 
 
 # One line of Python per instruction form; {a} is the operand, a cell
-# (local m{a}) or LDA_IMM's byte. ONE is 1 and M8 is 0xFF in every field;
-# on plain bytes they are rendered away (_SCALAR), so a call pays no mask.
+# (local m{a}) or LDA_IMM's byte. ONE is 1 and M8 is 0xFF in every field,
+# so the fields never carry into each other.
 _TEMPLATES = {
     Mnemonic.STA_ZP: "m{a} = acc",
     Mnemonic.ADC_ZP: "acc += m{a} + carry; carry, acc = (acc >> 8) & ONE, acc & M8",
@@ -92,10 +91,9 @@ _TEMPLATES = {
     Mnemonic.INC_ZP: "m{a} = (m{a} + ONE) & M8",
 }
 _INC_SETS_CARRY = "carry = (((m{a} + M8) >> 8) & ONE) ^ ONE"
-_SCALAR = ((" & ONE", ""), (" * ONE", ""), ("ONE", "1"), ("M8", "0xFF"))
 
 
-def _compile(routine, inc_sets_carry: bool, fields: int = 0) -> Tuple[Callable, Tuple]:
+def _compile(routine, inc_sets_carry: bool, fields: int = 1) -> Tuple[Callable, Tuple]:
     """Compile ``(Mnemonic, operand)`` pairs, up to the first RTS, into ``(run, cells)``.
 
     ``cells`` are the cell operands the code touches, in first-use order,
@@ -104,8 +102,8 @@ def _compile(routine, inc_sets_carry: bool, fields: int = 0) -> Tuple[Callable, 
     body is one template line per instruction, with no loop and no
     dispatch; this is exact because the repertoire never branches. Only
     module data and test data reach it, so its operands are the slot
-    names of :data:`PRNG_ROUTINE` or plain ints. With ``fields`` > 0, each
-    value is one int of that many 16-bit fields, each field its own run.
+    names of :data:`PRNG_ROUTINE` or plain ints. Each value is one int of
+    ``fields`` 16-bit fields, each field its own run; a single run is one field.
     """
     cells: Dict[object, None] = {}  # insertion-ordered set
     body = []
@@ -119,30 +117,16 @@ def _compile(routine, inc_sets_carry: bool, fields: int = 0) -> Tuple[Callable, 
             body.append(_INC_SETS_CARRY.format(a=a))
     values = "".join(f"m{cell}, " for cell in cells)
     source = "\n    ".join([f"def run(acc, carry, {values}):", *body, f"return acc, carry, {values}"])
-    for mask, text in () if fields else _SCALAR:
-        source = source.replace(mask, text)
     one = int.from_bytes(b"\1\0" * fields, "little")
     namespace = {"ONE": one, "M8": 0xFF * one}
     exec(source, namespace)
     return namespace["run"], tuple(cells)
 
 
-_RUNS: Dict[bool, Callable] = {}  # PRNG_ROUTINE's run per carry mode, compiled on first use
-
-
 def oracle_prng_step(state: int, inc_sets_carry: bool = False) -> int:
-    """Advance the state word by executing the game's compiled routine.
-
-    The routine starts from a zero accumulator and carry; it overwrites
-    both before first reading them, so any other start gives the same word.
-    """
-    _check_word(state)
-    mode = bool(inc_sets_carry)
-    run = _RUNS.get(mode)
-    if run is None:
-        run = _RUNS[mode] = _compile(PRNG_ROUTINE, mode)[0]
-    _, _, w, _, x, _ = run(0, 0, state >> 8, 0, state & 0xFF, 0)  # cells W, Y, X, Z
-    return (w << 8) | x
+    """Advance the state word by the game's routine: its entry in :func:`prng_lanes`."""
+    _check_word(state)  # a memoryview would take -1 as the last entry
+    return prng_lanes(bool(inc_sets_carry))[state]
 
 
 @cache
@@ -152,6 +136,8 @@ def prng_lanes(inc_sets_carry: bool) -> memoryview:
     Run SWAR-wide (SIMD within a register: Lamport, CACM 1975) from a zero
     start, one 16-bit field per state, once per process and carry mode:
     the historical carry is ``buggy_step``, the fixed one ``correct_step``.
+    The routine overwrites the accumulator and carry before first reading
+    them, so any other start gives the same words.
     """
     n = 4096  # states per run, so each int stays at 64 Kibit
     run = _compile(PRNG_ROUTINE, inc_sets_carry, n)[0]

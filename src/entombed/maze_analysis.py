@@ -36,9 +36,9 @@ _SCREEN_TEXT: Tuple[str, ...] = tuple(
 )
 
 
-def _check_row(row: int) -> int:
+def _check_row(row: int, name: str = "row", index: object = "") -> int:
     if type(row) is not int or not 0 <= row <= 0xFF:  # no bool or other int subclass
-        raise ValueError(f"row must be an 8-bit value, got {row!r}")
+        raise ValueError(f"{name}{index} must be an 8-bit value, got {row!r}")
     return row
 
 
@@ -58,8 +58,7 @@ class Grid:
         if not rows:
             raise ValueError("grid must have at least one row")
         for r, row in enumerate(rows):
-            if type(row) is not int or not 0 <= row <= 0xFF:  # no bool or other int subclass
-                raise ValueError(f"grid row {r} must be an 8-bit int, got {row!r}")
+            _check_row(row, "grid row ", r)  # formatted only on failure: a Grid is built per maze
         object.__setattr__(self, "rows", rows)
 
     @classmethod

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from entombed import __version__, cli, prng, romscan
+from entombed import __version__, cli, cpu, prng, romscan
 
 from reference_cpu import routine_bytes
 
@@ -133,6 +133,25 @@ class TestPrng:
             "states_checked": 65536,
             "historical_carry_matches_buggy": True,
             "fixed_carry_matches_correct": True,
+        }
+
+    @pytest.fixture
+    def fresh_lanes(self):
+        """Rebuild the successor tables around a test that changes the routine."""
+        cpu.prng_lanes.cache_clear()
+        yield
+        cpu.prng_lanes.cache_clear()  # no later test reads the changed routine's tables
+
+    @pytest.mark.parametrize("index", [8, 13])
+    def test_oracle_check_fails_on_a_routine_without_one_clc(self, capsys, monkeypatch, fresh_lanes, index):
+        assert cpu.PRNG_ROUTINE[index] == (cpu.Mnemonic.CLC, None)
+        monkeypatch.setattr(cpu, "PRNG_ROUTINE", cpu.PRNG_ROUTINE[:index] + cpu.PRNG_ROUTINE[index + 1:])
+        code, out, _ = run_cli(capsys, "prng", "--mode", "oracle-check")
+        assert code == 0
+        assert parse_envelope(out)["results"] == {
+            "states_checked": 65536,
+            "historical_carry_matches_buggy": False,
+            "fixed_carry_matches_correct": False,
         }
 
     def test_graph_reports_functional_graph_of_both_steps(self, capsys):

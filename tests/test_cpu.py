@@ -191,8 +191,8 @@ class TestCompiledAgainstRun:
     @pytest.mark.parametrize("inc_sets_carry", [False, True])
     @pytest.mark.parametrize("acc, carry", [(0x00, 0), (0xFF, 1)])
     def test_oracle_program_on_every_state(self, inc_sets_carry, acc, carry):
-        # the scalar form, the SWAR form on all states at once, and the lanes'
-        # successor table (run from a zero start) against _run, state by state
+        # the single-field form, the SWAR form on all states at once, and the
+        # lanes' successor table (run from a zero start) against _run, state by state
         compiled, cells = cpu._compile(PRNG_ROUTINE, inc_sets_carry)
         mems = [{"W": s >> 8, "X": s & 0xFF, "Y": 0, "Z": 0} for s in range(0x10000)]
         fields = run_fields(PRNG_ROUTINE, inc_sets_carry, [(acc, carry, mem) for mem in mems])
@@ -248,26 +248,31 @@ class TestCompiledAgainstRun:
                 assert got == field == (*expected, *[mem[addr] for addr in cells])
 
     def test_nothing_is_compiled_at_import(self):
-        # neither a compiled run nor a successor table before the first command runs
+        # no successor table, and so no compiled run, before the first command runs
         src = str(Path(cpu.__file__).resolve().parents[1])
-        code = "import entombed.cli as cli, entombed.cpu as c; cli.build_parser(); print(c._RUNS, c.prng_lanes.cache_info())"
+        code = "import entombed.cli as cli, entombed.cpu as c; cli.build_parser(); print(c.prng_lanes.cache_info())"
         env = {**os.environ, "PYTHONPATH": src}
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=20, env=env)
-        assert out.stdout == "{} CacheInfo(hits=0, misses=0, maxsize=None, currsize=0)\n", out.stderr
+        assert out.stdout == "CacheInfo(hits=0, misses=0, maxsize=None, currsize=0)\n", out.stderr
 
-    def test_compiled_once_per_carry_mode(self, monkeypatch):
-        compiles, compile_ = [], cpu._compile
-
-        def counting_compile(routine, inc_sets_carry):
-            compiles.append(inc_sets_carry)
-            return compile_(routine, inc_sets_carry)
-
-        monkeypatch.setattr(cpu, "_RUNS", {})
-        monkeypatch.setattr(cpu, "_compile", counting_compile)
-        for inc_sets_carry in (False, True):
-            for s in range(0x10000):
-                cpu.oracle_prng_step(s, inc_sets_carry)
-        assert compiles == [False, True]
+    def test_compiled_once_per_carry_mode(self):
+        # in a fresh interpreter, 2 x 65536 steps compile the routine and build its table once per mode
+        src = str(Path(cpu.__file__).resolve().parents[1])
+        code = (
+            "import entombed.cpu as c\n"
+            "compiles, compile_ = [], c._compile\n"
+            "def counting_compile(routine, inc_sets_carry, *fields):\n"
+            "    compiles.append(inc_sets_carry)\n"
+            "    return compile_(routine, inc_sets_carry, *fields)\n"
+            "c._compile = counting_compile\n"
+            "for inc_sets_carry in (False, True):\n"
+            "    for s in range(0x10000):\n"
+            "        c.oracle_prng_step(s, inc_sets_carry)\n"
+            "print(compiles, c.prng_lanes.cache_info())"
+        )
+        env = {**os.environ, "PYTHONPATH": src}
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60, env=env)
+        assert out.stdout == "[False, True] CacheInfo(hits=131070, misses=2, maxsize=None, currsize=2)\n", out.stderr
 
 
 # Cell layouts other than the game's own 0xDD-0xE0: consecutive low cells,
