@@ -17,10 +17,11 @@ import os
 import re
 import sys
 from collections import Counter
-from dataclasses import asdict
 from typing import List, Optional
 
-from . import __version__, cpu, maze_analysis, mazegen, prng, romscan
+# Each command imports the modules it runs, so --version, --help and a
+# usage error load none of them.
+from . import __version__
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -63,14 +64,11 @@ def _emit(command: str, parameters: dict, results: dict) -> None:
     print(json.dumps(envelope, indent=2, sort_keys=True))
 
 
-def _make_source(kind: str, seed: int) -> mazegen.RandomBitSource:
-    if kind == "zeros":
-        return mazegen.ConstantBitSource()
-    return mazegen.ModelBitSource(seed)
-
-
 def _cmd_maze_render(args: argparse.Namespace) -> int:
-    source = _make_source(args.source, args.seed)
+    from dataclasses import asdict
+    from . import maze_analysis, mazegen
+
+    source = mazegen.ConstantBitSource() if args.source == "zeros" else mazegen.ModelBitSource(args.seed)
     rows, traces = mazegen.generate_maze(source, args.rows)
     if args.format == "ascii":
         for row in rows:
@@ -93,7 +91,7 @@ def _cmd_maze_render(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _graph_summary(rho: prng.RhoDecomposition) -> dict:
+def _graph_summary(rho) -> dict:
     image_size = len(set(rho.successor))
     cycle_lengths = rho.cycle_lengths()
     tails = Counter(rho.tail)
@@ -102,13 +100,15 @@ def _graph_summary(rho: prng.RhoDecomposition) -> dict:
         "cycle_count": len(cycle_lengths),
         "cycle_lengths": cycle_lengths,
         "image_size": image_size,
-        "states_without_preimage": prng.WORD_COUNT - image_size,
+        "states_without_preimage": len(rho.successor) - image_size,
         "max_tail": max_tail,
         "tail_histogram": [tails[t] for t in range(max_tail + 1)],
     }
 
 
 def _cmd_prng(args: argparse.Namespace) -> int:
+    from . import cpu, prng
+
     if args.mode == "survey":
         surveys = prng.canonical_seed_survey()
         max_distinct, argmax_seed = prng.max_distinct_over_canonical_seeds(surveys)
@@ -151,7 +151,9 @@ def _cmd_prng(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _load_signature(selector: str) -> romscan.SignatureTemplate:
+def _load_signature(selector: str):
+    from . import romscan
+
     if selector == "builtin":
         return romscan.prng_signature()
     if os.path.exists(selector) and not os.path.isfile(selector):
@@ -161,6 +163,8 @@ def _load_signature(selector: str) -> romscan.SignatureTemplate:
 
 
 def _cmd_scan(args: argparse.Namespace) -> int:
+    from . import romscan
+
     try:
         sig = _load_signature(args.signature)
     except (OSError, ValueError) as exc:
@@ -208,6 +212,9 @@ def _cmd_scan(args: argparse.Namespace) -> int:
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
+    from dataclasses import asdict
+    from . import maze_analysis
+
     stats = maze_analysis.maze_survey(args.mazes, args.rows, seed=args.seed)
     _emit(
         "stats",

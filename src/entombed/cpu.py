@@ -31,7 +31,7 @@ from typing import Callable, Dict, List, Tuple, Union
 
 
 def _check_word(value: int, name: str = "state") -> None:
-    if not isinstance(value, int) or not 0 <= value <= 0xFFFF:
+    if type(value) is not int or not 0 <= value <= 0xFFFF:  # no bool or other int subclass
         raise ValueError(f"{name} must be a 16-bit value, got {value!r}")
 
 

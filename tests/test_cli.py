@@ -460,3 +460,41 @@ class TestEnvelope:
         with pytest.raises(SystemExit) as exc:
             cli.main(["frobnicate"])
         assert exc.value.code == 2
+
+
+class TestColdStart:
+    """Each command imports only the package modules it runs, in a fresh interpreter."""
+
+    MAZE = ["cpu", "maze_analysis", "mazegen", "prng"]
+
+    @pytest.mark.parametrize(
+        "argv, loaded",
+        [
+            (None, []),
+            (["--version"], []),
+            (["prng", "--mode", "compare"], ["cpu", "prng"]),
+            (["scan", "--file", "rom.bin"], ["cpu", "romscan"]),
+            (["stats", "--mazes", "1"], MAZE),
+            (["maze-render", "--rows", "1"], MAZE),
+        ],
+        ids=["build_parser", "version", "prng", "scan", "stats", "maze-render"],
+    )
+    def test_loads_only_the_modules_it_runs(self, tmp_path, argv, loaded):
+        (tmp_path / "rom.bin").write_bytes(bytes(range(256)) * 16)
+        code = (
+            "import contextlib, io, json, sys\n"
+            "import entombed.cli as cli\n"
+            f"argv = {argv!r}\n"
+            "with contextlib.redirect_stdout(io.StringIO()), contextlib.suppress(SystemExit):\n"
+            "    cli.build_parser() if argv is None else cli.main(argv)\n"
+            # no stdlib names: site preloads some of them on some machines
+            "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'entombed')))\n"
+        )
+        src = str(Path(cli.__file__).resolve().parents[1])
+        pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONPATH": pythonpath}
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=60, env=env, cwd=tmp_path
+        )
+        assert out.returncode == 0, out.stderr
+        assert json.loads(out.stdout) == ["entombed", "entombed.cli", *(f"entombed.{m}" for m in loaded)]

@@ -321,7 +321,7 @@ class TestCompiledOnOtherCells:
 class TestOracleStepRangeChecks:
     """The state word is checked by oracle_prng_step."""
 
-    @pytest.mark.parametrize("state", [-1, 0x10000, 1.5, "1"])
+    @pytest.mark.parametrize("state", [-1, 0x10000, 1.5, "1", True, False])
     def test_state_out_of_word_range(self, state):
         with pytest.raises(ValueError):
             cpu.oracle_prng_step(state)

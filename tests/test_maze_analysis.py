@@ -362,7 +362,7 @@ class TestDerivedSeed:
     def test_wraps_past_65536(self):
         assert derived_seed(0xFFFF, 1) == buggy_step(0)
         # only the index wraps: a seed outside the word is refused
-        for seed in (70000, 0x10000, -1, 1.5):
+        for seed in (70000, 0x10000, -1, 1.5, True, False):
             with pytest.raises(ValueError, match="seed must be a 16-bit value"):
                 derived_seed(seed, 0)
 

@@ -279,7 +279,7 @@ class TestSources:
         assert set(bits_a) == {0, 1}
 
     def test_model_source_seed_range(self):
-        for bad in (0x10000, -1, 1.5, "1"):
+        for bad in (0x10000, -1, 1.5, "1", True, False):
             with pytest.raises(ValueError):
                 ModelBitSource(bad)
 

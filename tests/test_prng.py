@@ -32,7 +32,7 @@ def test_canonical_seed():
 
 @pytest.mark.parametrize("func", [prng.correct_step, prng.buggy_step])
 def test_step_rejects_out_of_range(func):
-    for bad in (-1, 0x10000, 1.5, "1"):
+    for bad in (-1, 0x10000, 1.5, "1", True, False):
         with pytest.raises(ValueError):
             func(bad)
 
