@@ -30,9 +30,16 @@ from functools import cache
 from typing import Callable, Dict, List, Tuple, Union
 
 
-def _check_word(value: int, name: str = "state") -> None:
-    if type(value) is not int or not 0 <= value <= 0xFFFF:  # no bool or other int subclass
-        raise ValueError(f"{name} must be a 16-bit value, got {value!r}")
+def _check_int(value: int, name: str, high: float = float("inf"), low: int = 0, index: object = "") -> int:
+    """``value`` if it is a plain int in [low, high], no bool or other subclass; else ValueError.
+
+    The package's one int check. The message names ``{name}{index}``,
+    formatted only on failure, so a caller checking many values builds no
+    string per value.
+    """
+    if type(value) is not int or not low <= value <= high:
+        raise ValueError(f"{name}{index} must be an int in [{low}, {high}], got {value!r}")
+    return value
 
 
 # The nine instruction forms, each valued at its standard MOS 6502 opcode
@@ -125,7 +132,7 @@ def _compile(routine, inc_sets_carry: bool, fields: int = 1) -> Tuple[Callable, 
 
 def oracle_prng_step(state: int, inc_sets_carry: bool = False) -> int:
     """Advance the state word by the game's routine: its entry in :func:`prng_lanes`."""
-    _check_word(state)  # a memoryview would take -1 as the last entry
+    _check_int(state, "state", 0xFFFF)  # a memoryview would take -1 as the last entry
     return prng_lanes(bool(inc_sets_carry))[state]
 
 

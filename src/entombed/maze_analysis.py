@@ -18,33 +18,21 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Sequence, Tuple
 
+from .cpu import _check_int
 from .mazegen import ModelBitSource, PostprocessRule, generate_maze
-from .prng import _check_word, buggy_step
+from .prng import buggy_step
 
-
-def _screen_row(row: int) -> Tuple[int, ...]:
-    half = (1, 1, 1, 1) + tuple((row >> (7 - j // 2)) & 1 for j in range(16))
-    return half + half[::-1]
-
-
-# The screen format, stated once: the 256 possible screen rows, indexed by
-# the 8-bit row. Rendering derives from it.
-SCREEN_ROWS: Tuple[Tuple[int, ...], ...] = tuple(_screen_row(row) for row in range(0x100))
+# The screen format, stated once: the text of each of the 256 rows. A half
+# is four wall cells, then bits 7..0 each doubled; the right half mirrors it.
 _SCREEN_TEXT: Tuple[str, ...] = tuple(
-    " ".join("".join("_X"[c] for c in half) for half in (cells[:20], cells[20:]))
-    for cells in SCREEN_ROWS
+    f"{half} {half[::-1]}"
+    for half in ("XXXX" + f"{row:08b}".replace("0", "__").replace("1", "XX") for row in range(0x100))
 )
-
-
-def _check_row(row: int, name: str = "row", index: object = "") -> int:
-    if type(row) is not int or not 0 <= row <= 0xFF:  # no bool or other int subclass
-        raise ValueError(f"{name}{index} must be an 8-bit value, got {row!r}")
-    return row
 
 
 def render_row(row: int) -> str:
     """Text for a row: 20 cells per half (``X`` wall, ``_`` open), one space between."""
-    return _SCREEN_TEXT[_check_row(row)]
+    return _SCREEN_TEXT[_check_int(row, "row", 0xFF)]
 
 
 @dataclass(frozen=True)
@@ -58,7 +46,7 @@ class Grid:
         if not rows:
             raise ValueError("grid must have at least one row")
         for r, row in enumerate(rows):
-            _check_row(row, "grid row ", r)  # formatted only on failure: a Grid is built per maze
+            _check_int(row, "grid row ", 0xFF, 0, r)  # r is formatted only on failure
         object.__setattr__(self, "rows", rows)
 
     @classmethod
@@ -130,7 +118,7 @@ class PatternStats:
 
 def derived_seed(seed: int, index: int) -> int:
     """Per-maze source seed: base seed plus maze index, through the PRNG."""
-    _check_word(seed, "seed")
+    _check_int(seed, "seed", 0xFFFF)
     return buggy_step((seed + index) & 0xFFFF)
 
 
@@ -148,8 +136,7 @@ def maze_survey(n_mazes: int, rows_per_maze: int = 60, *, seed: int) -> PatternS
     condition 1 fires, condition 2 fires and verdict by that count: at most
     256 mazes, and O(256) work, for any ``n_mazes``.
     """
-    if type(n_mazes) is not int or n_mazes < 1:  # no bool or other int subclass
-        raise ValueError(f"n_mazes must be an int >= 1, got {n_mazes!r}")
+    _check_int(n_mazes, "n_mazes", low=1)
     condition1 = condition2 = unsolvable = 0
     for i in range(min(n_mazes, 0x100)):
         # Indices i, i + 256, i + 512, ... share the seed low byte, so the phase.

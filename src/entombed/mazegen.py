@@ -34,7 +34,8 @@ from enum import Enum
 from functools import cache, cached_property
 from typing import List, Optional, Protocol, Tuple
 
-from .prng import _check_word, buggy_step, successor_table
+from .cpu import _check_int
+from .prng import buggy_step, successor_table
 
 
 class CellRule(Enum):
@@ -137,8 +138,7 @@ class ModelBitSource:
     """
 
     def __init__(self, seed: int):
-        _check_word(seed, "seed")
-        self.state = seed
+        self.state = _check_int(seed, "seed", 0xFFFF)
         self._successor = successor_table(buggy_step)
 
     def draw(self, kind: DrawKind) -> int:
@@ -203,8 +203,7 @@ def generate_maze(
       if at least 8 kept rows precede it and the kept row 8 back has that
       bit 0 too; only that row is read back.
     """
-    if type(rows) is not int or rows < 1:  # no bool or other int subclass
-        raise ValueError(f"rows must be an int >= 1, got {rows!r}")
+    _check_int(rows, "rows", low=1)
     if table is None:
         table = default_table()
     nibbles = table.nibbles

@@ -29,7 +29,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, List
 
-from .cpu import _check_word, prng_lanes
+from .cpu import _check_int, prng_lanes
 
 WORD_COUNT = 0x10000
 
@@ -42,7 +42,7 @@ def correct_step(state: int) -> int:
     c = 1 is odd, and a - 1 = 4 is divisible by 4, the only prime factor
     of the modulus. The tests also check it exhaustively.
     """
-    _check_word(state)
+    _check_int(state, "state", 0xFFFF)
     return (5 * state + 1) & 0xFFFF
 
 
@@ -59,7 +59,7 @@ def buggy_step(state: int) -> int:
     half of all steps come out one high-byte unit away from the correct
     generator.
     """
-    _check_word(state)
+    _check_int(state, "state", 0xFFFF)
     # The routine's byte adds, carry out in bit 8. CLC; ADC z: low(4s) + low(s)
     low_sum = ((state << 2) & 0xFF) + (state & 0xFF)
     # LDA #0; ADC w: high(4s) + that carry; CLC; ADC y: ... + high(s)
@@ -86,13 +86,6 @@ def successor_table(step: Callable[[int], int]) -> memoryview:
             raise ValueError(f"step maps state 0x{state:04x} to {nxt!r}, outside [0, 0xFFFF]")
         table[state] = nxt
     return memoryview(table).toreadonly()
-
-
-def canonical_seed(b: int) -> int:
-    """Build a seed the way the game does: one byte duplicated into both halves."""
-    if type(b) is not int or not 0 <= b <= 0xFF:  # no bool or other int subclass
-        raise ValueError(f"seed byte must be in [0, 255], got {b!r}")
-    return (b << 8) | b
 
 
 @dataclass
@@ -220,7 +213,7 @@ def canonical_seed_survey(step: Callable[[int], int] = buggy_step) -> List[Orbit
     Hull-Dobell predicts (see its docstring).
     """
     rho = rho_decomposition(step)
-    seeds = [canonical_seed(b) for b in range(256)]
+    seeds = [(b << 8) | b for b in range(256)]  # the game's seeds: one byte in both halves
     return [OrbitStats(s, rho.tail[s] + rho.cycle[s], rho.tail[s] == 0) for s in seeds]
 
 

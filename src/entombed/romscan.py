@@ -21,7 +21,7 @@ from functools import cached_property
 from types import MappingProxyType
 from typing import Dict, Iterable, List, Mapping, Tuple, Union
 
-from .cpu import assemble
+from .cpu import _check_int, assemble
 
 Element = Union[int, str]
 
@@ -38,15 +38,12 @@ class SignatureTemplate:
             raise ValueError("signature must not be empty")
         fixed = 0
         for el in self.elements:
-            if isinstance(el, int):
-                if not 0 <= el <= 0xFF:
-                    raise ValueError(f"fixed byte out of range: {el!r}")
-                fixed += 1
-            elif isinstance(el, str):
+            if isinstance(el, str):
                 if not el:
                     raise ValueError("slot name must be non-empty")
             else:
-                raise ValueError(f"element must be int or str, got {el!r}")
+                _check_int(el, "fixed byte", 0xFF)
+                fixed += 1
         if fixed == 0:
             raise ValueError("signature needs at least one fixed byte")
 

@@ -8,7 +8,8 @@ thing.
 
 from typing import Callable
 
-from entombed.prng import OrbitStats, _check_word, buggy_step
+from entombed.cpu import _check_int
+from entombed.prng import OrbitStats, buggy_step
 
 
 def orbit_survey(seed: int, steps: int, step: Callable[[int], int] = buggy_step) -> OrbitStats:
@@ -19,7 +20,7 @@ def orbit_survey(seed: int, steps: int, step: Callable[[int], int] = buggy_step)
     seed recurs is already decided. The reported numbers are exactly those
     of the full walk.
     """
-    _check_word(seed, "seed")
+    _check_int(seed, "seed", 0xFFFF)
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps!r}")
     seen = {seed}

@@ -323,8 +323,15 @@ class TestOracleStepRangeChecks:
 
     @pytest.mark.parametrize("state", [-1, 0x10000, 1.5, "1", True, False])
     def test_state_out_of_word_range(self, state):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"state must be an int in \[0, 65535\], got "):
             cpu.oracle_prng_step(state)
+
+
+def test_the_int_rule_is_written_only_in_cpu():
+    # every other module calls cpu._check_int, so no copy of the rule can drift
+    package = Path(cpu.__file__).resolve().parent
+    copies = {path.name: path.read_text().count("is not int") for path in sorted(package.glob("*.py"))}
+    assert {name: n for name, n in copies.items() if n} == {"cpu.py": 1}
 
 
 class TestAssembler:

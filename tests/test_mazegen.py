@@ -305,7 +305,7 @@ class TestGenerateMaze:
         with pytest.raises(ValueError):
             generate_maze(ModelBitSource(1), 0)
         for rows in (2.5, 60.0, "60", None, True, False, Count(60)):
-            with pytest.raises(ValueError, match="rows must be an int"):
+            with pytest.raises(ValueError, match=r"rows must be an int in \[1, inf\], got "):
                 generate_maze(ModelBitSource(1), rows)
 
     def test_zeros_source_is_reproducible(self):

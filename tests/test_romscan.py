@@ -43,6 +43,12 @@ class TestSignatureTemplate:
         with pytest.raises(ValueError):
             SignatureTemplate(())
 
+    @pytest.mark.parametrize("bad", [True, False, 256, -1, 1.5])
+    def test_rejects_a_fixed_byte_that_is_not_a_byte(self, bad):
+        # True used to be taken as byte 0x01
+        with pytest.raises(ValueError, match=r"fixed byte must be an int in \[0, 255\], got "):
+            SignatureTemplate((bad, "W", 0xA9))
+
     def test_a_list_is_copied_into_a_tuple(self):
         elements = [0xA9, "W"]
         sig = SignatureTemplate(elements)
