@@ -75,16 +75,18 @@ def successor_table(step: Callable[[int], int]) -> memoryview:
     For :func:`buggy_step` and :func:`correct_step` it is the game's routine
     run with the historical or fixed carry (:func:`entombed.cpu.prng_lanes`),
     built once per process. Any other ``step`` is called once per state, and
-    ``ValueError`` names the first state it maps outside [0, 0xFFFF].
+    ``ValueError`` names the first state it maps to anything but an int in
+    [0, 0xFFFF] (a float or ``True`` included).
     """
     if step in (buggy_step, correct_step):
         return prng_lanes(step is correct_step)
     table = array("H", bytes(2 * WORD_COUNT))
     for state in range(WORD_COUNT):
         nxt = step(state)
-        if not 0 <= nxt <= 0xFFFF:
-            raise ValueError(f"step maps state 0x{state:04x} to {nxt!r}, outside [0, 0xFFFF]")
-        table[state] = nxt
+        try:
+            table[state] = _check_int(nxt, "step value", 0xFFFF)
+        except ValueError:  # the message is built here, never once per state
+            raise ValueError(f"step maps state 0x{state:04x} to {nxt!r}, not an int in [0, 0xFFFF]") from None
     return memoryview(table).toreadonly()
 
 

@@ -7,8 +7,9 @@ slots; every position sharing a slot name must match the same byte, which
 pins down each game's cell assignment as a side effect of matching.
 
 Scanning is an exact byte-level sliding window over the raw image (no
-instruction-flow analysis). Files are identified by MD5 so results can be
-tied to a specific dump without distributing it.
+instruction-flow analysis), read in fixed-size chunks so memory does not
+grow with the file. Files are identified by MD5 so results can be tied to
+a specific dump without distributing it.
 """
 
 from __future__ import annotations
@@ -19,11 +20,13 @@ import re
 from dataclasses import dataclass, field
 from functools import cached_property
 from types import MappingProxyType
-from typing import Dict, Iterable, List, Mapping, Tuple, Union
+from typing import BinaryIO, Dict, Iterable, List, Mapping, Tuple, Union
 
 from .cpu import _check_int, assemble
 
 Element = Union[int, str]
+
+_CHUNK = 1 << 16  # bytes per read when hashing and scanning a file
 
 
 @dataclass(frozen=True)
@@ -139,9 +142,35 @@ def scan_bytes(buf: bytes, sig: SignatureTemplate, source: str = "<bytes>") -> L
     return hits
 
 
-def md5_of(buf: bytes) -> str:
-    """Lowercase hex MD5 digest of a byte buffer."""
-    return hashlib.md5(buf).hexdigest()
+def md5_of(fh: BinaryIO) -> str:
+    """Lowercase hex MD5 digest of an open binary file, from its position to its end.
+
+    The file is read one chunk at a time, so memory does not grow with it.
+    """
+    digest = hashlib.md5()
+    for chunk in iter(lambda: fh.read(_CHUNK), b""):
+        digest.update(chunk)
+    return digest.hexdigest()
+
+
+def _scan_file(fh: BinaryIO, sig: SignatureTemplate, source: str) -> List[ScanHit]:
+    """Hits of ``sig`` in an open binary file, read one chunk at a time.
+
+    Each chunk is scanned as a window that starts with the last
+    ``len(sig) - 1`` bytes read before it. A match found in one window ends
+    inside it, so it starts before the next window does: every match is
+    found exactly once, and memory stays one chunk plus that overlap.
+    """
+    keep = len(sig) - 1
+    hits: List[ScanHit] = []
+    tail = b""
+    base = 0  # file offset of the window's first byte
+    for chunk in iter(lambda: fh.read(_CHUNK), b""):
+        window = tail + chunk
+        hits.extend(ScanHit(source, base + h.offset, h.bindings) for h in scan_bytes(window, sig, source))
+        tail = window[max(len(window) - keep, 0) :]  # not window[-keep:], which is all of it for keep 0
+        base += len(window) - len(tail)
+    return hits
 
 
 @dataclass
@@ -157,9 +186,13 @@ class CorpusReport:
 def scan_corpus(paths: Iterable[str], sig: SignatureTemplate) -> CorpusReport:
     """Scan each file, recording hits, MD5s, and per-file read errors.
 
-    Unreadable files are reported in ``errors`` and do not abort the scan;
-    paths that exist but are not regular files (a FIFO would block) are
-    reported without being opened.
+    Each regular file is opened once and read twice, one chunk at a time:
+    :func:`md5_of` hashes it, then it is rewound and scanned. Memory stays
+    one chunk plus ``len(sig) - 1`` bytes, whatever the file's size.
+    Unreadable files, and files whose read fails partway through either
+    pass, are reported in ``errors`` with no hits or checksum and do not
+    abort the scan; paths that exist but are not regular files (a FIFO
+    would block) are reported without being opened.
     Hits come back ordered by (path, offset) regardless of input order.
     """
     hits: List[ScanHit] = []
@@ -170,14 +203,16 @@ def scan_corpus(paths: Iterable[str], sig: SignatureTemplate) -> CorpusReport:
         if os.path.exists(path) and not os.path.isfile(path):
             errors[str(path)] = "not a regular file"
             continue
-        try:
-            with open(path, "rb") as fh:
-                data = fh.read()
+        try:  # a file's results are kept only once both passes have read all of it
+            with open(path, "rb", buffering=0) as fh:  # each read asks for a whole chunk
+                checksum = md5_of(fh)
+                fh.seek(0)
+                found = _scan_file(fh, sig, str(path))
         except OSError as exc:
             errors[str(path)] = str(exc)
             continue
         scanned += 1
-        checksums[str(path)] = md5_of(data)
-        hits.extend(scan_bytes(data, sig, source=str(path)))
+        checksums[str(path)] = checksum
+        hits.extend(found)
     hits.sort(key=lambda h: (h.source, h.offset))
     return CorpusReport(files_scanned=scanned, hits=hits, checksums=checksums, errors=errors)

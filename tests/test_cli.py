@@ -362,6 +362,37 @@ class TestScan:
         assert code == 1
         assert err.startswith("error: cannot load signature: [Errno 2]")
 
+    def test_scan_file_memory_does_not_grow_with_the_file(self, tmp_path):
+        pytest.importorskip("resource")
+        code = (
+            "import contextlib, io, resource, sys\n"
+            "import entombed.cli as cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = cli.main(['scan', '--file', sys.argv[1]])\n"
+            "print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+        )
+        src = str(Path(cli.__file__).resolve().parents[1])
+        pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONPATH": pythonpath}
+        # Linux keeps across exec the peak of the process that spawned a child, so a child
+        # of this test process would start from its peak: a small launcher spawns it instead.
+        launcher = "import subprocess, sys; sys.exit(subprocess.run(sys.argv[1:]).returncode)"
+        peaks = []
+        for mib in (3, 30):
+            rom = tmp_path / f"{mib}mib.bin"
+            with open(rom, "wb") as fh:
+                fh.truncate(mib << 20)  # zeros, sparse where the file system allows
+            out = subprocess.run(
+                [sys.executable, "-c", launcher, sys.executable, "-c", code, str(rom)],
+                capture_output=True, text=True, timeout=60, env=env,
+            )
+            assert out.returncode == 0, out.stderr
+            exit_code, peak = out.stdout.split()
+            assert exit_code == "0"
+            peaks.append(int(peak) * (1 if sys.platform == "darwin" else 1024))  # ru_maxrss unit
+        # reading each file whole grew the peak by the 27 MiB between them
+        assert peaks[1] - peaks[0] < 4 << 20, peaks
+
 
 class TestStats:
     def test_small_survey(self, capsys):

@@ -196,7 +196,14 @@ class TestCanonicalSeedSurvey:
 
     @pytest.mark.parametrize(
         "step, state",
-        [(lambda s: s + 1, "0xffff"), (lambda s: s - 1, "0x0000"), (lambda s: s << 4, "0x1000")],
+        [
+            (lambda s: s + 1, "0xffff"),
+            (lambda s: s - 1, "0x0000"),
+            (lambda s: s << 4, "0x1000"),
+            # a float used to raise TypeError from array, and True was stored as 1
+            pytest.param(lambda s: s + 0.5, "0x0000", id="float-0x0000"),
+            pytest.param(lambda s: True, "0x0000", id="bool-0x0000"),
+        ],
     )
     def test_step_out_of_range_names_the_state(self, step, state):
         with pytest.raises(ValueError, match=state):

@@ -1,12 +1,19 @@
 """Tests for signature templates, scanning and corpus reporting."""
 
+import builtins
+import errno
+import hashlib
+import io
 import os
 import random
 import re
 
 import pytest
 
+from entombed import romscan
+from entombed.cpu import assemble
 from entombed.romscan import (
+    CorpusReport,
     ScanHit,
     SignatureTemplate,
     md5_of,
@@ -253,8 +260,166 @@ class TestScanHitValue:
 
 class TestMd5:
     def test_rfc_vectors(self):
-        assert md5_of(b"") == "d41d8cd98f00b204e9800998ecf8427e"
-        assert md5_of(b"abc") == "900150983cd24fb0d6963f7d28e17f72"
+        assert md5_of(io.BytesIO(b"")) == "d41d8cd98f00b204e9800998ecf8427e"
+        assert md5_of(io.BytesIO(b"abc")) == "900150983cd24fb0d6963f7d28e17f72"
+
+    def test_several_chunks_hash_as_the_whole_from_the_position(self):
+        data = random.Random(107).randbytes(3 * romscan._CHUNK + 5)
+        assert md5_of(io.BytesIO(data)) == hashlib.md5(data).hexdigest()
+        fh = io.BytesIO(data)
+        fh.seek(10)
+        assert md5_of(fh) == hashlib.md5(data[10:]).hexdigest()
+
+
+SEAM_CHUNKS = [1, 2, 7, 36, 37, 64]  # around the PRNG signature's 37 bytes and its 36-byte overlap
+
+
+def scan_matches_reference(directory, files, sig):
+    """Write ``files`` (name -> bytes), scan them, and compare with the references.
+
+    Hits must equal ``brute_force_scan`` and checksums ``hashlib.md5``, each
+    run on the whole file; returns the hits as ``(name, offset)`` pairs.
+    """
+    directory.mkdir(exist_ok=True)
+    for name, data in files.items():
+        (directory / name).write_bytes(data)
+    report = scan_corpus([str(directory / name) for name in files], sig)
+    want = [
+        (str(directory / name), offset, list(bindings.items()))
+        for name in sorted(files)
+        for offset, bindings in brute_force_scan(files[name], sig)
+    ]
+    assert [(h.source, h.offset, list(h.bindings.items())) for h in report.hits] == want
+    assert report.checksums == {str(directory / n): hashlib.md5(d).hexdigest() for n, d in files.items()}
+    assert (report.files_scanned, report.errors) == (len(files), {})
+    return {(os.path.basename(source), offset) for source, offset, _ in want}
+
+
+@pytest.mark.parametrize("chunk", SEAM_CHUNKS)
+class TestChunkSeams:
+    """``scan_corpus`` with the chunk size cut down, so every file crosses seams."""
+
+    @pytest.fixture(autouse=True)
+    def _chunk(self, monkeypatch, chunk):
+        monkeypatch.setattr(romscan, "_CHUNK", chunk)
+
+    def test_routine_planted_at_every_offset_across_a_seam(self, tmp_path, chunk):
+        sig = prng_signature()
+        size = 2 * chunk + 38  # room for a routine that starts past the first seam
+        noise = noise_without_hits(random.Random(108), size, sig)
+        routine = routine_bytes(**ENTOMBED_BINDINGS)
+        files = {
+            f"at{offset:03d}.bin": noise[:offset] + routine + noise[offset + 37 :]
+            for offset in range(size - 37 + 1)
+        }
+        found = scan_matches_reference(tmp_path, files, sig)
+        assert {(f"at{offset:03d}.bin", offset) for offset in range(size - 37 + 1)} <= found
+
+    def test_overlapping_matches_across_seams(self, tmp_path, chunk):
+        ones = bytes([0x01] * (3 * chunk + 5))  # a hit at every offset: each seam cuts several
+        for i, elements in enumerate([(0x01, "a"), (0x01, 0x01, "g0", "g0")]):
+            sig = SignatureTemplate(elements)
+            found = scan_matches_reference(tmp_path / f"sig{i}", {"rom.bin": ones}, sig)
+            assert len(found) == len(ones) - len(sig) + 1
+        rng = random.Random(109)
+        mixed = bytes(rng.choice((1, 2)) for _ in range(3 * chunk + 40))
+        sig = SignatureTemplate((0x01, "a", "b", "a"))
+        assert scan_matches_reference(tmp_path / "mixed", {"rom.bin": mixed}, sig)
+
+    def test_file_sizes_around_the_signature_and_the_chunk(self, tmp_path, chunk):
+        sig = prng_signature()
+        routine = routine_bytes(**ENTOMBED_BINDINGS)
+        sizes = sorted({0, 36, 37, chunk - 1, chunk, chunk + 1})
+        noise = noise_without_hits(random.Random(110), max(sizes), sig)
+        # the routine, where it fits, ends the file: its last byte is the last one read
+        files = {
+            f"size{size:03d}.bin": noise[: size - 37] + routine if size >= 37 else noise[:size]
+            for size in sizes
+        }
+        found = scan_matches_reference(tmp_path, files, sig)
+        assert {(f"size{size:03d}.bin", size - 37) for size in sizes if size >= 37} <= found
+
+    def test_signature_longer_than_a_chunk(self, tmp_path, chunk):
+        sig = SignatureTemplate(assemble() * 2)  # 74 bytes, longer than every chunk tried
+        assert len(sig) > chunk
+        routine = routine_bytes(**ENTOMBED_BINDINGS)
+        noise = noise_without_hits(random.Random(111), 3 * chunk + 100, prng_signature())
+        files = {
+            f"at{offset:03d}.bin": noise[:offset] + routine * 2 + noise[offset + 74 :]
+            for offset in (0, chunk + 3, 2 * chunk + 9, len(noise) - 74)
+        }
+        assert len(scan_matches_reference(tmp_path, files, sig)) == 4
+
+    def test_one_byte_signature_reports_each_hit_once(self, tmp_path, chunk):
+        # the overlap is empty: window[-0:] as the tail would rescan each window whole
+        data = bytes(random.Random(112).choice((0, 1)) for _ in range(4 * chunk + 3))
+        found = scan_matches_reference(tmp_path, {"rom.bin": data}, SignatureTemplate((0x01,)))
+        assert len(found) == data.count(1)
+
+
+class FailingFile:
+    """An open file whose read number ``fail_at`` (from 0) raises ``OSError``.
+
+    ``failed_in`` records the pass that read failed in: ``"hash"`` before the
+    file is rewound, ``"scan"`` after.
+    """
+
+    def __init__(self, fh, fail_at):
+        self.fh, self.fail_at, self.reads = fh, fail_at, 0
+        self.rewound, self.failed_in = False, None
+
+    def read(self, size):
+        if self.reads == self.fail_at:
+            self.failed_in = "scan" if self.rewound else "hash"
+            raise OSError(errno.EIO, "Input/output error")
+        self.reads += 1
+        return self.fh.read(size)
+
+    def seek(self, offset):
+        self.rewound = True
+        return self.fh.seek(offset)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+
+class TestReadFailure:
+    def test_a_read_failing_partway_drops_only_that_file(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(romscan, "_CHUNK", 16)
+        sig = prng_signature()
+        rng = random.Random(113)
+        paths = []
+        for name in ("a.bin", "b.bin", "c.bin"):
+            noise = noise_without_hits(rng, 100, sig)
+            (tmp_path / name).write_bytes(noise[:40] + routine_bytes(**ENTOMBED_BINDINGS) + noise[77:])
+            paths.append(str(tmp_path / name))
+        clean = scan_corpus(paths, sig)
+        assert len(clean.hits) == 3
+        bad = paths[1]
+        kept = CorpusReport(
+            files_scanned=2,
+            hits=[h for h in clean.hits if h.source != bad],
+            checksums={p: c for p, c in clean.checksums.items() if p != bad},
+            errors={bad: "[Errno 5] Input/output error"},
+        )
+        failed_in = []
+        for fail_at in range(16):  # 100 bytes: 7 reads and one at the end, per pass
+            opened = []
+
+            def failing_open(path, *args, **kwargs):
+                fh = builtins.open(path, *args, **kwargs)
+                if path != bad:
+                    return fh
+                opened.append(FailingFile(fh, fail_at))
+                return opened[-1]
+
+            monkeypatch.setattr(romscan, "open", failing_open, raising=False)
+            assert scan_corpus(paths, sig) == kept
+            failed_in.append(opened[0].failed_in)
+        assert failed_in == ["hash"] * 8 + ["scan"] * 8
 
 
 class TestScanCorpus:
