@@ -91,8 +91,8 @@ def _cmd_maze_render(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _graph_summary(rho) -> dict:
-    image_size = len(set(rho.successor))
+def _graph_summary(successor, rho) -> dict:
+    image_size = len(set(successor))
     cycle_lengths = rho.cycle_lengths()
     tails = Counter(rho.tail)
     max_tail = max(tails)
@@ -100,7 +100,7 @@ def _graph_summary(rho) -> dict:
         "cycle_count": len(cycle_lengths),
         "cycle_lengths": cycle_lengths,
         "image_size": image_size,
-        "states_without_preimage": len(rho.successor) - image_size,
+        "states_without_preimage": len(successor) - image_size,
         "max_tail": max_tail,
         "tail_histogram": [tails[t] for t in range(max_tail + 1)],
     }
@@ -130,11 +130,10 @@ def _cmd_prng(args: argparse.Namespace) -> int:
             "high_delta_minus_one": report.high_delta_minus_one,
         }
     elif args.mode == "graph":
-        results = {
-            "states": prng.WORD_COUNT,
-            "buggy": _graph_summary(prng.rho_decomposition(prng.buggy_step)),
-            "correct": _graph_summary(prng.rho_decomposition(prng.correct_step)),
-        }
+        results = {"states": prng.WORD_COUNT}
+        for name, fixed in (("buggy", False), ("correct", True)):
+            successor = cpu.prng_lanes(fixed)
+            results[name] = _graph_summary(successor, prng.rho_decomposition(successor))
     else:  # oracle-check
         buggy_ok = all(
             cpu.oracle_prng_step(s, False) == prng.buggy_step(s) for s in range(prng.WORD_COUNT)
@@ -156,7 +155,7 @@ def _load_signature(selector: str):
 
     if selector == "builtin":
         return romscan.prng_signature()
-    if os.path.exists(selector) and not os.path.isfile(selector):
+    if not os.path.isfile(selector) and os.path.exists(selector):
         raise ValueError(f"not a regular file: {selector}")  # a FIFO would block in open()
     with open(selector, "r", encoding="utf-8") as fh:
         return romscan.SignatureTemplate.from_text(fh.read())

@@ -18,9 +18,8 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Sequence, Tuple
 
-from .cpu import _check_int
+from .cpu import _check_int, prng_lanes
 from .mazegen import ModelBitSource, PostprocessRule, generate_maze
-from .prng import buggy_step
 
 # The screen format, stated once: the text of each of the 256 rows. A half
 # is four wall cells, then bits 7..0 each doubled; the right half mirrors it.
@@ -117,9 +116,9 @@ class PatternStats:
 
 
 def derived_seed(seed: int, index: int) -> int:
-    """Per-maze source seed: base seed plus maze index, through the PRNG."""
+    """Per-maze source seed: base seed plus maze index, through the buggy PRNG's table."""
     _check_int(seed, "seed", 0xFFFF)
-    return buggy_step((seed + index) & 0xFFFF)
+    return prng_lanes(False)[(seed + index) & 0xFFFF]
 
 
 def maze_survey(n_mazes: int, rows_per_maze: int = 60, *, seed: int) -> PatternStats:

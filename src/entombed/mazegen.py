@@ -34,8 +34,7 @@ from enum import Enum
 from functools import cache, cached_property
 from typing import List, Optional, Protocol, Tuple
 
-from .cpu import _check_int
-from .prng import buggy_step, successor_table
+from .cpu import _check_int, prng_lanes
 
 
 class CellRule(Enum):
@@ -134,12 +133,13 @@ class ModelBitSource:
     byte draw the same bits, and no draw shows the carry defect.
 
     ``state`` keeps the full 16-bit word, stepped by a read of
-    ``successor_table(buggy_step)``, the routine's own table for all states.
+    ``prng_lanes(False)``: the routine run with its historical carry over all
+    states, which is ``buggy_step``.
     """
 
     def __init__(self, seed: int):
         self.state = _check_int(seed, "seed", 0xFFFF)
-        self._successor = successor_table(buggy_step)
+        self._successor = prng_lanes(False)
 
     def draw(self, kind: DrawKind) -> int:
         self.state = self._successor[self.state]

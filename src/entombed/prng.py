@@ -16,10 +16,10 @@ shipped behaviour exactly; :func:`correct_step` is the generator the code
 was aiming for.
 
 All arithmetic here is explicitly modular (mod 256 per byte, mod 65536
-per word); nothing relies on native integer width. Every function is
-pure apart from each generator's :func:`successor_table`, built once per
-process and read-only, so the module is safe to use from any number of
-threads.
+per word); nothing relies on native integer width. The analyses read the
+routine's successor tables (:func:`entombed.cpu.prng_lanes`), built once
+per process and read-only, so the module is safe to use from any number
+of threads.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from __future__ import annotations
 from array import array
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, List
+from typing import Callable, List, Sequence
 
 from .cpu import _check_int, prng_lanes
 
@@ -69,27 +69,6 @@ def buggy_step(state: int) -> int:
     return (high << 8) | ((low_sum + 1) & 0xFF)
 
 
-def successor_table(step: Callable[[int], int]) -> memoryview:
-    """``step(state)`` for all 65536 states, as a read-only view of ints.
-
-    For :func:`buggy_step` and :func:`correct_step` it is the game's routine
-    run with the historical or fixed carry (:func:`entombed.cpu.prng_lanes`),
-    built once per process. Any other ``step`` is called once per state, and
-    ``ValueError`` names the first state it maps to anything but an int in
-    [0, 0xFFFF] (a float or ``True`` included).
-    """
-    if step in (buggy_step, correct_step):
-        return prng_lanes(step is correct_step)
-    table = array("H", bytes(2 * WORD_COUNT))
-    for state in range(WORD_COUNT):
-        nxt = step(state)
-        try:
-            table[state] = _check_int(nxt, "step value", 0xFFFF)
-        except ValueError:  # the message is built here, never once per state
-            raise ValueError(f"step maps state 0x{state:04x} to {nxt!r}, not an int in [0, 0xFFFF]") from None
-    return memoryview(table).toreadonly()
-
-
 @dataclass
 class AgreementReport:
     """Exhaustive comparison of the two step functions over all 65536 states."""
@@ -104,7 +83,7 @@ class AgreementReport:
 def compare_all_steps() -> AgreementReport:
     """Compare buggy_step against correct_step for every 16-bit state, read off their tables."""
     mismatch = low_equal = plus_one = minus_one = 0
-    for b, c in zip(successor_table(buggy_step), successor_table(correct_step)):
+    for b, c in zip(prng_lanes(False), prng_lanes(True)):
         if b != c:
             delta = ((b >> 8) - (c >> 8)) & 0xFF
             mismatch += 1
@@ -140,18 +119,16 @@ _ON_PATH = -2
 
 @dataclass(frozen=True)
 class RhoDecomposition:
-    """The functional graph of a 16-bit step map, labelled state by state.
+    """The functional graph of a 16-bit successor table, labelled state by state.
 
     Every orbit of a map on a finite set is rho-shaped: a tail of distinct
     states leading into a cycle (Flajolet & Odlyzko, "Random Mapping
-    Statistics", EUROCRYPT '89). ``successor`` is the read-only :func:`successor_table`;
-    ``tail[state]`` is the number of steps before the state's orbit enters
-    its cycle (0 for a state on a cycle); ``cycle[state]`` is that cycle's
-    length. The orbit from ``state`` thus holds ``tail + cycle`` distinct
-    values, the state itself included.
+    Statistics", EUROCRYPT '89). ``tail[state]`` is the number of steps
+    before the state's orbit enters its cycle (0 for a state on a cycle);
+    ``cycle[state]`` is that cycle's length. The orbit from ``state`` thus
+    holds ``tail + cycle`` distinct values, the state itself included.
     """
 
-    successor: memoryview
     tail: array
     cycle: array
 
@@ -162,21 +139,18 @@ class RhoDecomposition:
         return [length for length in sorted(on_cycle) for _ in range(on_cycle[length] // length)]
 
 
-def rho_decomposition(step: Callable[[int], int] = buggy_step) -> RhoDecomposition:
-    """Label all 65536 states of ``step`` with their tail and cycle lengths.
+def rho_decomposition(successor: Sequence[int]) -> RhoDecomposition:
+    """Label all 65536 states of a successor table with their tail and cycle lengths.
 
-    One pass, O(65536) time and memory, no recursion: each unlabelled
-    state of :func:`successor_table` (for the two generators the table
-    built once per process; any other ``step`` is called once per state)
-    is walked forward, marking the states on the walk, until it meets a
-    labelled state (the walk joins a known tree or cycle) or a marked one
-    (the walk has closed a new cycle); the walk's states are then
-    labelled back to front. Every state is walked exactly once.
-
-    Raises ``ValueError`` naming the state if ``step`` maps a state
-    outside [0, 0xFFFF].
+    ``successor[state]`` is the state that follows ``state``: 65536 ints, each
+    in [0, 0xFFFF], as :func:`entombed.cpu.prng_lanes` builds them. The
+    entries are not checked. One pass, O(65536) time and memory, no
+    recursion: each unlabelled state is walked forward, marking the states
+    on the walk, until it meets a labelled state (the walk joins a known
+    tree or cycle) or a marked one (the walk has closed a new cycle); the
+    walk's states are then labelled back to front. Every state is walked
+    exactly once.
     """
-    successor = successor_table(step)
     tail = array("i", [_UNSEEN]) * WORD_COUNT  # 4-byte labels: no tail or cycle exceeds 65536
     cycle = array("i", [0]) * WORD_COUNT
     path = array("H")
@@ -201,20 +175,23 @@ def rho_decomposition(step: Callable[[int], int] = buggy_step) -> RhoDecompositi
             tail[member] = distance
             cycle[member] = length
         del path[:]
-    return RhoDecomposition(successor, tail, cycle)
+    return RhoDecomposition(tail, cycle)
 
 
 def canonical_seed_survey(step: Callable[[int], int] = buggy_step) -> List[OrbitStats]:
     """Size the whole orbit of each of the 256 canonical seeds under ``step``.
 
-    Reads each seed off one :func:`rho_decomposition` of ``step`` (O(65536))
-    instead of walking 256 orbits: a seed with tail ``t`` and cycle ``c``
-    first revisits a value at step ``t + c``, so its orbit has ``t + c``
-    distinct values and returns to the seed exactly when ``t == 0``. For
-    :func:`correct_step` every seed comes back after 65536 steps, as
-    Hull-Dobell predicts (see its docstring).
+    ``step`` is :func:`buggy_step` or :func:`correct_step`; any other raises
+    ``ValueError``. Reads each seed off one :func:`rho_decomposition` of the
+    generator's table (O(65536)) instead of walking 256 orbits: a seed with
+    tail ``t`` and cycle ``c`` first revisits a value at step ``t + c``, so
+    its orbit has ``t + c`` distinct values and returns to the seed exactly
+    when ``t == 0``. For :func:`correct_step` every seed comes back after
+    65536 steps, as Hull-Dobell predicts (see its docstring).
     """
-    rho = rho_decomposition(step)
+    if step not in (buggy_step, correct_step):
+        raise ValueError(f"step must be buggy_step or correct_step, got {step!r}")
+    rho = rho_decomposition(prng_lanes(step is correct_step))
     seeds = [(b << 8) | b for b in range(256)]  # the game's seeds: one byte in both halves
     return [OrbitStats(s, rho.tail[s] + rho.cycle[s], rho.tail[s] == 0) for s in seeds]
 

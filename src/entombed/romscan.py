@@ -200,7 +200,7 @@ def scan_corpus(paths: Iterable[str], sig: SignatureTemplate) -> CorpusReport:
     errors: Dict[str, str] = {}
     scanned = 0
     for path in paths:
-        if os.path.exists(path) and not os.path.isfile(path):
+        if not os.path.isfile(path) and os.path.exists(path):  # one stat for a regular file
             errors[str(path)] = "not a regular file"
             continue
         try:  # a file's results are kept only once both passes have read all of it

@@ -496,7 +496,7 @@ class TestEnvelope:
 class TestColdStart:
     """Each command imports only the package modules it runs, in a fresh interpreter."""
 
-    MAZE = ["cpu", "maze_analysis", "mazegen", "prng"]
+    MAZE = ["cpu", "maze_analysis", "mazegen"]
 
     @pytest.mark.parametrize(
         "argv, loaded",

@@ -470,6 +470,23 @@ class TestScanCorpus:
         assert report.checksums == {}
         assert report.errors == {str(tmp_path): "not a regular file"}
 
+    def test_one_stat_per_regular_file(self, tmp_path, monkeypatch):
+        paths = []
+        for i in range(3):
+            (tmp_path / f"rom{i}.bin").write_bytes(bytes([i]) * 64)
+            paths.append(str(tmp_path / f"rom{i}.bin"))
+        stats = []
+        stat = os.stat
+
+        def counting_stat(path, *args, **kwargs):
+            stats.append(path)
+            return stat(path, *args, **kwargs)
+
+        monkeypatch.setattr(os, "stat", counting_stat)
+        report = scan_corpus(paths, prng_signature())
+        assert report.files_scanned == 3
+        assert stats == paths  # isfile's stat; exists is asked only of a non-file
+
     @pytest.mark.skipif(not hasattr(os, "symlink"), reason="no symlinks on this platform")
     def test_broken_symlink_keeps_the_open_error_text(self, tmp_path):
         link = tmp_path / "dangling.bin"
