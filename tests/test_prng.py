@@ -216,6 +216,31 @@ class TestCanonicalSeedSurvey:
         with pytest.raises(ValueError, match="buggy_step or correct_step"):
             prng.canonical_seed_survey(step=_low_byte_square_plus_one)
 
+    @pytest.mark.parametrize(
+        "step, state",
+        [
+            (lambda s: s + 1, "0xffff"),
+            (lambda s: s - 1, "0x0000"),
+            (lambda s: s << 4, "0x1000"),
+            # a float once raised TypeError from array, and True was stored as 1
+            pytest.param(lambda s: s + 0.5, "0x0000", id="float-0x0000"),
+            pytest.param(lambda s: True, "0x0000", id="bool-0x0000"),
+        ],
+    )
+    def test_step_out_of_range_names_the_state(self, step, state):
+        # each step leaves [0, 0xFFFF] first at ``state``; the survey refuses
+        # it by name before calling it, so no value it returns is ever read
+        for earlier in range(int(state, 16)):
+            assert type(step(earlier)) is int and 0 <= step(earlier) <= 0xFFFF
+        value = step(int(state, 16))
+        assert type(value) is not int or not 0 <= value <= 0xFFFF
+        calls = []
+        with pytest.raises(ValueError, match="buggy_step or correct_step"):
+            prng.canonical_seed_survey(step=lambda s: calls.append(s) or step(s))
+        with pytest.raises(ValueError, match="buggy_step or correct_step"):
+            prng.canonical_seed_survey(step=step)
+        assert calls == []
+
 
 def _walked_tail_and_cycle(step, state):
     position = {}
