@@ -24,10 +24,11 @@ of threads.
 
 from __future__ import annotations
 
+import sys
 from array import array
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, List, Sequence
+from typing import Callable, Iterable, List, Sequence
 
 from .cpu import _check_int, prng_lanes
 
@@ -82,15 +83,31 @@ class AgreementReport:
 
 def compare_all_steps() -> AgreementReport:
     """Compare buggy_step against correct_step for every 16-bit state, read off their tables."""
-    mismatch = low_equal = plus_one = minus_one = 0
-    for b, c in zip(prng_lanes(False), prng_lanes(True)):
-        if b != c:
-            delta = ((b >> 8) - (c >> 8)) & 0xFF
-            mismatch += 1
-            low_equal += (b ^ c) & 0xFF == 0
-            plus_one += delta == 0x01
-            minus_one += delta == 0xFF
-    return AgreementReport(1 - mismatch / WORD_COUNT, mismatch, low_equal, plus_one, minus_one)
+    return _agreement(prng_lanes(False), prng_lanes(True))
+
+
+def _agreement(buggy, correct) -> AgreementReport:
+    """The :class:`AgreementReport` of any two 65536-entry ``"H"`` tables, counted SWAR-wide.
+
+    Each run of 4096 states is one int of 16-bit fields, as :func:`entombed.cpu.prng_lanes`
+    packs them; no carry or borrow crosses a field, and each count is a ``bit_count()``.
+    """
+    n = 4096
+    one = int.from_bytes(b"\1\0" * n, "little")
+    low, sign = 0xFF * one, 0x8000 * one
+
+    def nonzero(x: int) -> int:  # bit 15 of each field, set iff the field is not 0
+        return (((x & ~sign) + (sign - one)) | x) & sign
+
+    mismatch = low_differs = plus_one = minus_one = 0
+    for base in range(0, WORD_COUNT, n):
+        b, c = (int.from_bytes(table[base : base + n], sys.byteorder) for table in (buggy, correct))
+        delta = ((((b >> 8) & low) | one << 8) - ((c >> 8) & low)) & low  # high(b) - high(c) mod 256
+        mismatch += nonzero(b ^ c).bit_count()
+        low_differs += nonzero((b ^ c) & low).bit_count()
+        plus_one += n - nonzero(delta ^ one).bit_count()
+        minus_one += n - nonzero(delta ^ low).bit_count()
+    return AgreementReport(1 - mismatch / WORD_COUNT, mismatch, mismatch - low_differs, plus_one, minus_one)
 
 
 @dataclass(frozen=True)
@@ -127,6 +144,7 @@ class RhoDecomposition:
     before the state's orbit enters its cycle (0 for a state on a cycle);
     ``cycle[state]`` is that cycle's length. The orbit from ``state`` thus
     holds ``tail + cycle`` distinct values, the state itself included.
+    States off the orbits decomposed hold tail -1 and cycle 0.
     """
 
     tail: array
@@ -139,22 +157,22 @@ class RhoDecomposition:
         return [length for length in sorted(on_cycle) for _ in range(on_cycle[length] // length)]
 
 
-def rho_decomposition(successor: Sequence[int]) -> RhoDecomposition:
-    """Label all 65536 states of a successor table with their tail and cycle lengths.
+def rho_decomposition(successor: Sequence[int], starts: Iterable[int] = range(WORD_COUNT)) -> RhoDecomposition:
+    """Label every state on the orbit of a state in ``starts`` with its tail and cycle lengths.
 
     ``successor[state]`` is the state that follows ``state``: 65536 ints, each
-    in [0, 0xFFFF], as :func:`entombed.cpu.prng_lanes` builds them. The
-    entries are not checked. One pass, O(65536) time and memory, no
-    recursion: each unlabelled state is walked forward, marking the states
-    on the walk, until it meets a labelled state (the walk joins a known
-    tree or cycle) or a marked one (the walk has closed a new cycle); the
-    walk's states are then labelled back to front. Every state is walked
-    exactly once.
+    in [0, 0xFFFF], as :func:`entombed.cpu.prng_lanes` builds them; ``starts``,
+    all states by default, may repeat. Neither is checked. Labels match the
+    full decomposition's; states off the starts' orbits keep tail -1, cycle 0.
+    One pass, no recursion: each unlabelled start is walked forward, marking
+    the states on the walk, until it meets a labelled state (the walk joins a
+    known tree or cycle) or a marked one (the walk has closed a new cycle);
+    its states are then labelled back to front, each read once from ``successor``.
     """
     tail = array("i", [_UNSEEN]) * WORD_COUNT  # 4-byte labels: no tail or cycle exceeds 65536
     cycle = array("i", [0]) * WORD_COUNT
     path = array("H")
-    for start in range(WORD_COUNT):
+    for start in starts:
         if tail[start] != _UNSEEN:
             continue
         state = start
@@ -183,16 +201,16 @@ def canonical_seed_survey(step: Callable[[int], int] = buggy_step) -> List[Orbit
 
     ``step`` is :func:`buggy_step` or :func:`correct_step`; any other raises
     ``ValueError``. Reads each seed off one :func:`rho_decomposition` of the
-    generator's table (O(65536)) instead of walking 256 orbits: a seed with
-    tail ``t`` and cycle ``c`` first revisits a value at step ``t + c``, so
-    its orbit has ``t + c`` distinct values and returns to the seed exactly
-    when ``t == 0``. For :func:`correct_step` every seed comes back after
-    65536 steps, as Hull-Dobell predicts (see its docstring).
+    generator's table from the seeds, O(states on the seeds' orbits), not 256
+    walks: a seed with tail ``t`` and cycle ``c`` first revisits a value at
+    step ``t + c``, so its orbit has ``t + c`` distinct values and returns to
+    the seed exactly when ``t == 0``. For :func:`correct_step` every seed
+    comes back after 65536 steps, as Hull-Dobell predicts (see its docstring).
     """
     if step not in (buggy_step, correct_step):
         raise ValueError(f"step must be buggy_step or correct_step, got {step!r}")
-    rho = rho_decomposition(prng_lanes(step is correct_step))
     seeds = [(b << 8) | b for b in range(256)]  # the game's seeds: one byte in both halves
+    rho = rho_decomposition(prng_lanes(step is correct_step), seeds)
     return [OrbitStats(s, rho.tail[s] + rho.cycle[s], rho.tail[s] == 0) for s in seeds]
 
 

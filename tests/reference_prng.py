@@ -1,7 +1,7 @@
 """The per-seed orbit walk, kept as the reference for the survey.
 
 ``entombed.prng.canonical_seed_survey`` reads every canonical seed's
-orbit off one decomposition of the whole state space; :func:`orbit_survey`
+orbit off one decomposition of the seeds' orbits; :func:`orbit_survey`
 walks one seed at a time, so the two can only agree by computing the same
 thing.
 """

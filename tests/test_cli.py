@@ -104,14 +104,15 @@ class TestPrng:
         calls = []
         decompose = prng.rho_decomposition
 
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return decompose(*args, **kwargs)
+        def counting(successor, *args, **kwargs):
+            calls.append(list(kwargs.get("starts", args[0] if args else range(prng.WORD_COUNT))))
+            return decompose(successor, *args, **kwargs)
 
         monkeypatch.setattr(prng, "rho_decomposition", counting)
         code, out, _ = run_cli(capsys, "prng", "--mode", "survey")
         assert code == 0
-        assert len(calls) == 1
+        # one decomposition, walked only from the 256 canonical seeds
+        assert calls == [[(b << 8) | b for b in range(256)]]
         golden = Path(__file__).with_name("golden") / "prng_survey.json"
         assert out == golden.read_text(encoding="utf-8")
 

@@ -1,5 +1,7 @@
 """Tests for the buggy and corrected step functions and the orbit analyses."""
 
+import random
+from array import array
 from functools import cache
 
 import pytest
@@ -153,9 +155,26 @@ def _low_byte_square_plus_one(state):
     return (state & 0xFF00) | (((state & 0xFF) ** 2 + 1) & 0xFF)
 
 
+CANONICAL_SEEDS = [(b << 8) | b for b in range(256)]
+
+# 0 <-> 1, 2 -> 3 -> 4 -> 2, every other state is a fixed point
+# except 0xFFFF, which feeds into the 3-cycle.
+_MIXED_MOVES = {0: 1, 1: 0, 2: 3, 3: 4, 4: 2, 0xFFFF: 2}
+
+
 @cache
-def _low_byte_square_plus_one_rho():
-    return prng.rho_decomposition([_low_byte_square_plus_one(s) for s in range(0x10000)])
+def _table(name):
+    """The successor table the tests decompose, by name."""
+    if name in ("buggy", "correct"):
+        return prng_lanes(name == "correct")
+    if name == "low_byte_square_plus_one":
+        return [_low_byte_square_plus_one(s) for s in range(0x10000)]
+    return [_MIXED_MOVES.get(s, s) for s in range(0x10000)]
+
+
+@cache
+def _full_rho(name):
+    return prng.rho_decomposition(_table(name))
 
 
 def _survey(step):
@@ -163,9 +182,8 @@ def _survey(step):
     ``tail + cycle`` from ``rho_decomposition`` of its table, as the survey reads them."""
     if step is not _low_byte_square_plus_one:
         return prng.canonical_seed_survey(step)
-    rho = _low_byte_square_plus_one_rho()
-    seeds = [(b << 8) | b for b in range(256)]
-    return [prng.OrbitStats(s, rho.tail[s] + rho.cycle[s], rho.tail[s] == 0) for s in seeds]
+    rho = _full_rho("low_byte_square_plus_one")
+    return [prng.OrbitStats(s, rho.tail[s] + rho.cycle[s], rho.tail[s] == 0) for s in CANONICAL_SEEDS]
 
 
 # Both sides of the buggy generator's tail (max 451) and orbit (max 1201
@@ -216,6 +234,16 @@ class TestCanonicalSeedSurvey:
         with pytest.raises(ValueError, match="buggy_step or correct_step"):
             prng.canonical_seed_survey(step=_low_byte_square_plus_one)
 
+    @pytest.mark.parametrize("step, reads", [(prng.buggy_step, 8626), (prng.correct_step, 0x10000)])
+    def test_reads_only_the_seeds_orbits(self, step, reads, monkeypatch):
+        # the work bound as a count, not a timing: one table read per state on
+        # the 256 seeds' orbits, which under the shipped step is 8626 states
+        surveyed = prng.canonical_seed_survey(step)
+        counting = _CountingTable(prng_lanes(step is prng.correct_step))
+        monkeypatch.setattr(prng, "prng_lanes", lambda fixed: counting)
+        assert prng.canonical_seed_survey(step) == surveyed
+        assert counting.reads == reads
+
     @pytest.mark.parametrize(
         "step, state",
         [
@@ -253,7 +281,7 @@ def _walked_tail_and_cycle(step, state):
 
 class TestRhoDecomposition:
     def test_multi_cycle_map_matches_per_state_walks(self):
-        rho = _low_byte_square_plus_one_rho()
+        rho = _full_rho("low_byte_square_plus_one")
         for state in range(0x10000):
             assert (rho.tail[state], rho.cycle[state]) == _walked_tail_and_cycle(
                 _low_byte_square_plus_one, state
@@ -262,12 +290,144 @@ class TestRhoDecomposition:
         assert max(rho.tail) == 5
 
     def test_cycle_lengths_of_mixed_cycles(self):
-        # 0 <-> 1, 2 -> 3 -> 4 -> 2, every other state is a fixed point
-        # except 0xFFFF, which feeds into the 3-cycle.
-        moves = {0: 1, 1: 0, 2: 3, 3: 4, 4: 2, 0xFFFF: 2}
-        rho = prng.rho_decomposition([moves.get(s, s) for s in range(0x10000)])
+        rho = _full_rho("mixed_cycles")
         assert rho.cycle_lengths() == [1] * (0x10000 - 6) + [2, 3]
         assert (rho.tail[0xFFFF], rho.cycle[0xFFFF]) == (1, 3)
+
+
+class _CountingTable:
+    """A successor table that counts the entries read from it."""
+
+    def __init__(self, table):
+        self.table, self.reads = table, 0
+
+    def __getitem__(self, state):
+        self.reads += 1
+        return self.table[state]
+
+
+def _orbit_union(table, starts):
+    """Every state on the orbit of a start, walked one state at a time."""
+    seen = set()
+    for state in starts:
+        while state not in seen:
+            seen.add(state)
+            state = table[state]
+    return seen
+
+
+class TestPartialRhoDecomposition:
+    """``rho_decomposition(table, starts)`` against the decomposition of all states."""
+
+    @pytest.mark.parametrize(
+        "starts",
+        [
+            CANONICAL_SEEDS,
+            random.Random(33).sample(range(0x10000), 24),
+            [0xFFFF, 2, 0xFFFF, 0x1234, 2],  # repeats, and a state feeding a 3-cycle
+        ],
+        ids=["canonical-seeds", "random-starts", "repeated-starts"],
+    )
+    @pytest.mark.parametrize("name", ["buggy", "correct", "low_byte_square_plus_one", "mixed_cycles"])
+    def test_labels_the_starts_orbits_as_the_full_decomposition_does(self, name, starts):
+        table, full = _table(name), _full_rho(name)
+        on_orbits = _orbit_union(table, starts)
+        partial = prng.rho_decomposition(table, starts)
+        assert list(partial.tail) == [full.tail[s] if s in on_orbits else -1 for s in range(0x10000)]
+        assert list(partial.cycle) == [full.cycle[s] if s in on_orbits else 0 for s in range(0x10000)]
+
+    @pytest.mark.parametrize("name, labelled", [("buggy", 8626), ("correct", 0x10000)])
+    def test_canonical_seeds_orbits_cover_8626_states_under_the_bug(self, name, labelled):
+        # a structural fact: the 256 canonical orbits of the shipped step share
+        # 8626 states; the intended generator's one orbit holds all 65536
+        partial = prng.rho_decomposition(_table(name), CANONICAL_SEEDS)
+        assert sum(t != -1 for t in partial.tail) == labelled
+        assert len(_orbit_union(_table(name), CANONICAL_SEEDS)) == labelled
+
+    def test_repeated_starts_and_any_iterable_give_the_same_labels(self):
+        once = prng.rho_decomposition(_table("buggy"), CANONICAL_SEEDS)
+        twice = prng.rho_decomposition(_table("buggy"), iter(CANONICAL_SEEDS + CANONICAL_SEEDS[::-1]))
+        assert once == twice
+
+    def test_no_starts_label_nothing_and_read_nothing(self):
+        counting = _CountingTable(_table("buggy"))
+        rho = prng.rho_decomposition(counting, [])
+        assert set(rho.tail) == {-1} and set(rho.cycle) == {0}
+        assert rho.cycle_lengths() == []
+        assert counting.reads == 0
+
+
+def _plain_agreement(buggy, correct):
+    """The tests' own count of two tables' agreement: one comparison per state."""
+    mismatch = low_equal = plus_one = minus_one = 0
+    for b, c in zip(buggy, correct):
+        if b != c:
+            mismatch += 1
+            low_equal += b % 256 == c % 256
+            plus_one += (b // 256 - c // 256) % 256 == 1
+            minus_one += (b // 256 - c // 256) % 256 == 255
+    return prng.AgreementReport((0x10000 - mismatch) / 0x10000, mismatch, low_equal, plus_one, minus_one)
+
+
+def _random_table(rng):
+    return array("H", (rng.getrandbits(16) for _ in range(0x10000)))
+
+
+class TestAgreementCounting:
+    """The SWAR counts of ``compare_all_steps`` on tables other than the generators'."""
+
+    @staticmethod
+    def check(buggy, correct):
+        report = prng._agreement(buggy, correct)
+        assert report == _plain_agreement(buggy, correct)
+        return report
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_random_tables(self, seed):
+        rng = random.Random(seed)
+        buggy = _random_table(rng)
+        self.check(buggy, _random_table(rng))
+        # near copies: about half the states one high-byte unit off either
+        # way, some with a different low byte, so every count is large
+        near = array("H", buggy)
+        for s in range(0x10000):
+            if rng.random() < 0.5:
+                near[s] = (near[s] + rng.choice((0x0100, 0xFF00, 0x0101, 0x0001))) & 0xFFFF
+        report = self.check(buggy, near)
+        assert min(report.high_delta_plus_one, report.high_delta_minus_one) > 1000
+        assert report.low_bytes_equal_count < report.mismatch_count
+
+    @pytest.mark.parametrize(
+        "b, c",
+        [(0x0000, 0xFFFF), (0x00FF, 0x0100), (0xFF00, 0x0000), (0xFFFF, 0x0000), (0x0100, 0x00FF), (0x0000, 0xFF00)],
+    )
+    @pytest.mark.parametrize("layout", ["every-state", "among-equal-states"])
+    def test_edge_words(self, b, c, layout):
+        # all-ones and all-zero fields test the borrow guard of the non-zero
+        # test; 0xFF00 against 0x0000 and 0x0100 against 0x00FF are -1 and +1 mod 256
+        if layout == "every-state":
+            self.check(array("H", [b]) * 0x10000, array("H", [c]) * 0x10000)
+        else:
+            buggy = array("H", [b, 0xFFFF, b, 0x0000]) * 0x4000
+            correct = array("H", [c, 0xFFFF, b, 0x0000]) * 0x4000
+            self.check(buggy, correct)
+
+    @pytest.mark.parametrize("states", [[0], [4095], [4096], [65535], [0, 4095, 4096, 65535]])
+    @pytest.mark.parametrize("offset", [0x0100, 0xFF00, 0x0001, 0x8000, 0x8080])
+    def test_differences_at_run_boundaries(self, states, offset):
+        buggy = array("H", prng_lanes(False))
+        correct = array("H", buggy)
+        for s in states:
+            correct[s] = (correct[s] + offset) & 0xFFFF
+        report = self.check(buggy, correct)
+        assert report.mismatch_count == len(states)
+
+    @pytest.mark.parametrize("state, word", [(0, 0x0000), (0x0033, 0xFF00), (0x3333, 0xFF00), (0xB5B5, 0x1234)])
+    def test_one_mutated_entry_of_the_real_tables(self, state, word):
+        correct = array("H", prng_lanes(True))
+        correct[state] = word
+        report = self.check(prng_lanes(False), correct)
+        assert report != prng.compare_all_steps()
 
 
 class TestSuccessorTable:
