@@ -161,9 +161,10 @@ def rho_decomposition(successor: Sequence[int], starts: Iterable[int] = range(WO
     """Label every state on the orbit of a state in ``starts`` with its tail and cycle lengths.
 
     ``successor[state]`` is the state that follows ``state``: 65536 ints, each
-    in [0, 0xFFFF], as :func:`entombed.cpu.prng_lanes` builds them; ``starts``,
-    all states by default, may repeat. Neither is checked. Labels match the
-    full decomposition's; states off the starts' orbits keep tail -1, cycle 0.
+    in [0, 0xFFFF], as :func:`entombed.cpu.prng_lanes` builds them, and not
+    checked. ``starts``, all states by default, may repeat; a start that is
+    not a 16-bit word raises ``ValueError``. Labels match the full
+    decomposition's; states off the starts' orbits keep tail -1, cycle 0.
     One pass, no recursion: each unlabelled start is walked forward, marking
     the states on the walk, until it meets a labelled state (the walk joins a
     known tree or cycle) or a marked one (the walk has closed a new cycle);
@@ -173,7 +174,7 @@ def rho_decomposition(successor: Sequence[int], starts: Iterable[int] = range(WO
     cycle = array("i", [0]) * WORD_COUNT
     path = array("H")
     for start in starts:
-        if tail[start] != _UNSEEN:
+        if tail[_check_int(start, "start", 0xFFFF)] != _UNSEEN:
             continue
         state = start
         while tail[state] == _UNSEEN:

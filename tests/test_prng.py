@@ -1,6 +1,7 @@
 """Tests for the buggy and corrected step functions and the orbit analyses."""
 
 import random
+import re
 from array import array
 from functools import cache
 
@@ -348,6 +349,15 @@ class TestPartialRhoDecomposition:
         once = prng.rho_decomposition(_table("buggy"), CANONICAL_SEEDS)
         twice = prng.rho_decomposition(_table("buggy"), iter(CANONICAL_SEEDS + CANONICAL_SEEDS[::-1]))
         assert once == twice
+
+    @pytest.mark.parametrize(
+        "starts", [[0xFFFF, -1], [-1], [0x10000], [1.0], [True]], ids=["after-a-word", "-1", "0x10000", "float", "bool"]
+    )
+    def test_a_start_that_is_not_a_word_raises_naming_it(self, starts):
+        # -1 used to be read as state 0xFFFF through the array's negative index
+        bad = re.escape(repr(starts[-1]))
+        with pytest.raises(ValueError, match=rf"^start must be an int in \[0, 65535\], got {bad}$"):
+            prng.rho_decomposition(_table("buggy"), starts)
 
     def test_no_starts_label_nothing_and_read_nothing(self):
         counting = _CountingTable(_table("buggy"))

@@ -7,6 +7,7 @@ import io
 import os
 import random
 import re
+import threading
 
 import pytest
 
@@ -358,26 +359,29 @@ class TestChunkSeams:
 
 
 class FailingFile:
-    """An open file whose read number ``fail_at`` (from 0) raises ``OSError``.
+    """An open file whose read number ``fail_at`` (from 0) raises ``OSError(*error)``.
 
-    ``failed_in`` records the pass that read failed in: ``"hash"`` before the
-    file is rewound, ``"scan"`` after.
+    ``read`` and ``readinto`` both count as reads, so it stands in for either
+    pass's handle; ``failed`` records whether the failing read was reached.
     """
 
-    def __init__(self, fh, fail_at):
-        self.fh, self.fail_at, self.reads = fh, fail_at, 0
-        self.rewound, self.failed_in = False, None
+    def __init__(self, fh, fail_at, error):
+        self.fh, self.fail_at, self.error = fh, fail_at, error
+        self.reads, self.failed = 0, False
+
+    def _count(self):
+        if self.reads == self.fail_at:
+            self.failed = True
+            raise OSError(*self.error)
+        self.reads += 1
 
     def read(self, size):
-        if self.reads == self.fail_at:
-            self.failed_in = "scan" if self.rewound else "hash"
-            raise OSError(errno.EIO, "Input/output error")
-        self.reads += 1
+        self._count()
         return self.fh.read(size)
 
-    def seek(self, offset):
-        self.rewound = True
-        return self.fh.seek(offset)
+    def readinto(self, buf):
+        self._count()
+        return self.fh.readinto(buf)
 
     def __enter__(self):
         return self
@@ -386,40 +390,96 @@ class FailingFile:
         self.fh.close()
 
 
+EIO = (errno.EIO, "Input/output error")
+
+
 class TestReadFailure:
-    def test_a_read_failing_partway_drops_only_that_file(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(romscan, "_CHUNK", 16)
-        sig = prng_signature()
+    """Each pass opens each file on its own: hashing on a worker thread, scanning on the caller's."""
+
+    @pytest.fixture
+    def corpus(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(romscan, "_CHUNK", 16)  # 100 bytes: 7 reads and one at the end, per pass
         rng = random.Random(113)
         paths = []
         for name in ("a.bin", "b.bin", "c.bin"):
-            noise = noise_without_hits(rng, 100, sig)
+            noise = noise_without_hits(rng, 100, prng_signature())
             (tmp_path / name).write_bytes(noise[:40] + routine_bytes(**ENTOMBED_BINDINGS) + noise[77:])
             paths.append(str(tmp_path / name))
-        clean = scan_corpus(paths, sig)
+        clean = scan_corpus(paths, prng_signature())
         assert len(clean.hits) == 3
-        bad = paths[1]
-        kept = CorpusReport(
+        return paths, clean
+
+    @staticmethod
+    def scan_failing(monkeypatch, paths, bad, failures):
+        """Scan with ``bad``'s handle in each pass named in ``failures`` (pass -> (fail_at, error)) failing."""
+        caller = threading.current_thread()
+        opened = {}
+
+        def failing_open(path, *args, **kwargs):
+            fh = builtins.open(path, *args, **kwargs)
+            pass_ = "scan" if threading.current_thread() is caller else "hash"
+            if path != bad or pass_ not in failures:
+                return fh
+            opened[pass_] = FailingFile(fh, *failures[pass_])
+            return opened[pass_]
+
+        monkeypatch.setattr(romscan, "open", failing_open, raising=False)
+        return scan_corpus(paths, prng_signature()), opened
+
+    @staticmethod
+    def without(clean, bad, message):
+        return CorpusReport(
             files_scanned=2,
             hits=[h for h in clean.hits if h.source != bad],
             checksums={p: c for p, c in clean.checksums.items() if p != bad},
-            errors={bad: "[Errno 5] Input/output error"},
+            errors={bad: message},
         )
-        failed_in = []
-        for fail_at in range(16):  # 100 bytes: 7 reads and one at the end, per pass
-            opened = []
 
-            def failing_open(path, *args, **kwargs):
-                fh = builtins.open(path, *args, **kwargs)
-                if path != bad:
-                    return fh
-                opened.append(FailingFile(fh, fail_at))
-                return opened[-1]
+    @pytest.mark.parametrize("pass_", ["hash", "scan"])
+    def test_a_read_failing_partway_in_one_pass_drops_only_that_file(self, corpus, monkeypatch, pass_):
+        paths, clean = corpus
+        bad = paths[1]
+        for fail_at in range(8):
+            report, opened = self.scan_failing(monkeypatch, paths, bad, {pass_: (fail_at, EIO)})
+            assert report == self.without(clean, bad, "[Errno 5] Input/output error"), fail_at
+            assert list(opened) == [pass_] and opened[pass_].failed, fail_at
 
-            monkeypatch.setattr(romscan, "open", failing_open, raising=False)
-            assert scan_corpus(paths, sig) == kept
-            failed_in.append(opened[0].failed_in)
-        assert failed_in == ["hash"] * 8 + ["scan"] * 8
+    @pytest.mark.parametrize("hash_at, scan_at", [(0, 0), (7, 0), (0, 7), (3, 5)])
+    def test_when_both_passes_fail_the_hashing_error_is_reported(self, corpus, monkeypatch, hash_at, scan_at):
+        paths, clean = corpus
+        bad = paths[1]
+        failures = {"hash": (hash_at, EIO), "scan": (scan_at, (errno.ENXIO, "No such device or address"))}
+        report, opened = self.scan_failing(monkeypatch, paths, bad, failures)
+        assert report == self.without(clean, bad, "[Errno 5] Input/output error")
+        assert opened["hash"].failed and opened["scan"].failed
+
+
+class Boom(Exception):
+    """An error that is not an ``OSError``, so no pass may take it for a read failure."""
+
+
+class TestWorkerLifecycle:
+    @pytest.fixture
+    def paths(self, tmp_path):
+        for i in range(3):
+            (tmp_path / f"rom{i}.bin").write_bytes(bytes([0xA9, 0x00, 0x65]) * (i + 1))
+        return sorted(str(p) for p in tmp_path.iterdir())
+
+    def test_a_normal_call_leaves_no_thread_behind(self, paths):
+        before = set(threading.enumerate())
+        assert scan_corpus(paths, prng_signature()).files_scanned == 3
+        assert set(threading.enumerate()) <= before
+
+    @pytest.mark.parametrize("target", ["md5_of", "_scan_file"])
+    def test_another_error_in_either_pass_propagates_and_leaves_no_thread(self, paths, monkeypatch, target):
+        def boom(*args):
+            raise Boom(target)
+
+        monkeypatch.setattr(romscan, target, boom)
+        before = set(threading.enumerate())
+        with pytest.raises(Boom, match=target):
+            scan_corpus(paths, prng_signature())
+        assert set(threading.enumerate()) <= before
 
 
 class TestScanCorpus:
