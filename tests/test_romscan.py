@@ -158,6 +158,18 @@ class TestScanBytes:
         want = [(offset, list(b.items())) for offset, b in brute_force_scan(buf, sig)]
         assert got == want and want
 
+    def test_every_byte_as_a_self_overlapping_anchor_matches_brute_force(self):
+        # the anchor is a compiled literal: NUL, newline and every regex metacharacter
+        # among the fixed bytes must each match only itself
+        for byte in range(0x100):
+            sig = SignatureTemplate((byte, byte, "x"))
+            # checked first: an unescaped "$$" matches empty at the end, so the scan would not stop
+            assert sig.plan[1].pattern == re.escape(bytes([byte, byte])), hex(byte)
+            buf = bytes([byte] * 5 + [byte ^ 1] + [byte] * 3)
+            got = [(h.offset, dict(h.bindings)) for h in scan_bytes(buf, sig)]
+            want = [(offset, {"x": buf[offset + 2]}) for offset in (0, 1, 2, 3, 6)]
+            assert got == brute_force_scan(buf, sig) == want, hex(byte)
+
     def test_random_templates_match_brute_force(self):
         rng = random.Random(106)
         # regex metacharacters (\n . \\) as fixed bytes and as slot values
@@ -201,11 +213,11 @@ class TestScanBytes:
 class TestScanPlan:
     def test_prng_signature_anchors_on_a9_00_65(self):
         anchor_index, anchor, _, _ = prng_signature().plan
-        assert (anchor_index, anchor) == (19, bytes([0xA9, 0x00, 0x65]))
+        assert (anchor_index, anchor.pattern) == (19, re.escape(bytes([0xA9, 0x00, 0x65])))
 
     def test_tied_runs_anchor_on_the_first(self):
         anchor_index, anchor, _, _ = SignatureTemplate(("a", 0x01, 0x02, "b", 0x03, 0x04)).plan
-        assert (anchor_index, anchor) == (1, bytes([0x01, 0x02]))
+        assert (anchor_index, anchor.pattern) == (1, re.escape(bytes([0x01, 0x02])))
 
     def test_pattern_is_compiled_once_per_template(self, tmp_path, monkeypatch):
         compiled = []
@@ -216,11 +228,17 @@ class TestScanPlan:
             return compile_(*args)
 
         monkeypatch.setattr(re, "compile", counting_compile)
-        for i in range(4):
-            (tmp_path / f"rom{i}.bin").write_bytes(bytes([0xA9, 0x00, 0x65] * 40))
-        report = scan_corpus(sorted(str(p) for p in tmp_path.iterdir()), prng_signature())
-        assert report.files_scanned == 4
-        assert len(compiled) == 1
+        counts = []  # re.compile calls made by scanning 1 and 4 files, each with a new template
+        for files in (1, 4):
+            directory = tmp_path / f"files{files}"
+            directory.mkdir()
+            for i in range(files):
+                (directory / f"rom{i}.bin").write_bytes(bytes([0xA9, 0x00, 0x65] * 40))
+            before = len(compiled)
+            report = scan_corpus(sorted(str(p) for p in directory.iterdir()), prng_signature())
+            assert report.files_scanned == files
+            counts.append(len(compiled) - before)
+        assert counts[0] == counts[1] > 0
 
 
 class TestScanHitAnnotations:
@@ -480,6 +498,74 @@ class TestWorkerLifecycle:
         with pytest.raises(Boom, match=target):
             scan_corpus(paths, prng_signature())
         assert set(threading.enumerate()) <= before
+
+
+class TestOneFailingPassStopsTheOther:
+    """An exception in one pass stops the other at its next file; each test counts the files it read.
+
+    The other pass's first file waits for the stop event both passes share,
+    so it cannot finish every file before the failing pass raises.
+    """
+
+    FILES = 50
+
+    @pytest.fixture
+    def paths(self, tmp_path):
+        for i in range(self.FILES):
+            (tmp_path / f"rom{i:02d}.bin").write_bytes(bytes([0xA9, 0x00, 0x65]) * 100)
+        return sorted(str(p) for p in tmp_path.iterdir())
+
+    @pytest.fixture
+    def stops(self, monkeypatch):
+        """The ``stop`` event each pass passes to ``_read_each``."""
+        stops = []
+        read_each = romscan._read_each
+
+        def recording_read_each(paths, read, stop):
+            stops.append(stop)
+            return read_each(paths, read, stop)
+
+        monkeypatch.setattr(romscan, "_read_each", recording_read_each)
+        return stops
+
+    @pytest.mark.parametrize("error", [Boom, KeyboardInterrupt])
+    def test_a_scan_pass_raise_stops_the_hashing(self, paths, monkeypatch, stops, error):
+        hashed = []
+        md5 = romscan.md5_of
+
+        def waiting_md5(fh):
+            if not hashed:
+                assert stops[0].wait(timeout=10)
+            hashed.append(fh.name)
+            return md5(fh)
+
+        def failing_scan(*args):
+            raise error("scan")
+
+        monkeypatch.setattr(romscan, "md5_of", waiting_md5)
+        monkeypatch.setattr(romscan, "_scan_file", failing_scan)
+        with pytest.raises(error, match="scan"):
+            scan_corpus(paths, prng_signature())
+        assert hashed == paths[:1]
+
+    def test_a_worker_crash_stops_the_scanning(self, paths, monkeypatch, stops):
+        scanned = []
+        scan = romscan._scan_file
+
+        def failing_md5(fh):
+            raise Boom("md5")
+
+        def waiting_scan(fh, sig, source):
+            if not scanned:
+                assert stops[0].wait(timeout=10)
+            scanned.append(source)
+            return scan(fh, sig, source)
+
+        monkeypatch.setattr(romscan, "md5_of", failing_md5)
+        monkeypatch.setattr(romscan, "_scan_file", waiting_scan)
+        with pytest.raises(Boom, match="md5"):
+            scan_corpus(paths, prng_signature())
+        assert scanned == paths[:1]
 
 
 class TestScanCorpus:
