@@ -8,13 +8,9 @@ pins down each game's cell assignment as a side effect of matching.
 
 Scanning is an exact byte-level sliding window over the raw image (no
 instruction-flow analysis), read in fixed-size chunks so memory does not
-grow with the file. Files are identified by MD5 so results can be tied to
-a specific dump without distributing it. A corpus is hashed on one worker
-thread while the calling thread scans it: OpenSSL's MD5 releases the GIL
-on each chunk, so on two cores the hashing runs beside the scan instead
-of before it. The scan finds candidates with ``re``'s literal search, not
-``bytes.find`` (``scan --dir`` over 249 images, 28 MiB in all: 0.0725 ->
-0.0655 s on two vCPUs, 0.091 -> 0.078 s on one core).
+grow with the file. Each file is opened and read once: every chunk is
+scanned and then hashed, and files are identified by MD5 so results can
+be tied to a specific dump without distributing it.
 """
 
 from __future__ import annotations
@@ -22,11 +18,10 @@ from __future__ import annotations
 import hashlib
 import os
 import re
-import threading
 from dataclasses import dataclass, field
 from functools import cached_property
 from types import MappingProxyType
-from typing import BinaryIO, Callable, Dict, Iterable, List, Mapping, Tuple, Union
+from typing import BinaryIO, Dict, Iterable, Iterator, List, Mapping, Tuple, Union
 
 from .cpu import _check_int, assemble
 
@@ -152,24 +147,16 @@ def scan_bytes(buf: bytes, sig: SignatureTemplate, source: str = "<bytes>") -> L
     return hits
 
 
-def md5_of(fh: BinaryIO) -> str:
-    """Lowercase hex MD5 digest of an open binary file, from its position to its end.
-
-    The file is read with ``readinto`` into one reused chunk-sized buffer,
-    so memory does not grow with it and no chunk is allocated while the
-    GIL is held; OpenSSL hashes each update of 2 KiB or more with the GIL
-    released, so another thread can run meanwhile.
-    """
+def md5_of(chunks: Iterable[bytes]) -> str:
+    """Lowercase hex MD5 digest of the concatenated ``chunks``."""
     digest = hashlib.md5()
-    buf = bytearray(_CHUNK)
-    view = memoryview(buf)
-    while size := fh.readinto(buf):
-        digest.update(view[:size])
+    for chunk in chunks:
+        digest.update(chunk)
     return digest.hexdigest()
 
 
-def _scan_file(fh: BinaryIO, sig: SignatureTemplate, source: str) -> List[ScanHit]:
-    """Hits of ``sig`` in an open binary file, read one chunk at a time.
+def _scanned_chunks(fh: BinaryIO, sig: SignatureTemplate, source: str, hits: List[ScanHit]) -> Iterator[bytes]:
+    """Each chunk of an open binary file, yielded once its hits of ``sig`` are added to ``hits``.
 
     Each chunk is scanned as a window that starts with the last
     ``len(sig) - 1`` bytes read before it. A match found in one window ends
@@ -177,7 +164,6 @@ def _scan_file(fh: BinaryIO, sig: SignatureTemplate, source: str) -> List[ScanHi
     found exactly once, and memory stays one chunk plus that overlap.
     """
     keep = len(sig) - 1
-    hits: List[ScanHit] = []
     tail = b""
     base = 0  # file offset of the window's first byte
     for chunk in iter(lambda: fh.read(_CHUNK), b""):
@@ -185,24 +171,7 @@ def _scan_file(fh: BinaryIO, sig: SignatureTemplate, source: str) -> List[ScanHi
         hits.extend(ScanHit(source, base + h.offset, h.bindings) for h in scan_bytes(window, sig, source))
         tail = window[max(len(window) - keep, 0) :]  # not window[-keep:], which is all of it for keep 0
         base += len(window) - len(tail)
-    return hits
-
-
-def _read_each(paths: List[str], read: Callable[[BinaryIO, str], object], stop: threading.Event) -> list:
-    """``read(fh, path)`` for each path, opened on its own, or the ``OSError`` that stopped it.
-
-    Returns what it has once ``stop`` is set, checked before each file.
-    """
-    out = []
-    for path in paths:
-        if stop.is_set():
-            break
-        try:
-            with open(path, "rb", buffering=0) as fh:  # each read asks for a whole chunk
-                out.append(read(fh, path))
-        except OSError as exc:
-            out.append(exc)
-    return out
+        yield chunk
 
 
 @dataclass
@@ -218,60 +187,32 @@ class CorpusReport:
 def scan_corpus(paths: Iterable[str], sig: SignatureTemplate) -> CorpusReport:
     """Scan each file, recording hits, MD5s, and per-file read errors.
 
-    Two passes read each regular file, each opening it on its own and
-    reading one chunk at a time: a worker thread hashes the files with
-    :func:`md5_of` while the calling thread scans them. MD5 releases the
-    GIL, so on two cores the passes overlap instead of adding up; the
-    worker is joined before the call returns or raises. Memory stays one
-    chunk per pass plus ``len(sig) - 1`` bytes, whatever the file's size.
-    A file's results are kept only if both passes read all of it. A file
-    that either pass cannot open or read to its end is reported in
-    ``errors`` (the hashing pass's message first) with no hits or
-    checksum, and does not abort the scan; paths that exist but are not
-    regular files (a FIFO would block) are reported without being opened.
-    Any other exception, in either pass, propagates; the other pass then
-    finishes the file it is reading and opens no more.
+    Each regular file is opened once and read once, one chunk at a time:
+    :func:`md5_of` hashes each chunk after the chunk's window is scanned.
+    Memory stays one chunk plus ``len(sig) - 1`` bytes, whatever the
+    file's size. A file that cannot be opened or read to its end is
+    reported in ``errors`` with no hits or checksum, and does not abort
+    the scan; paths that exist but are not regular files (a FIFO would
+    block) are reported without being opened. Any other exception
+    propagates at once, and no later file is opened.
     Hits come back ordered by (path, offset) regardless of input order.
     """
     hits: List[ScanHit] = []
     checksums: Dict[str, str] = {}
     errors: Dict[str, str] = {}
     scanned = 0
-    files = []
     for path in paths:
         if not os.path.isfile(path) and os.path.exists(path):  # one stat for a regular file
             errors[str(path)] = "not a regular file"
-        else:
-            files.append(path)
-    digests: List[Union[str, OSError]] = []
-    crashed: List[BaseException] = []
-    stop = threading.Event()  # set when either pass raises, so the other stops at its next file
-
-    def hash_files() -> None:
+            continue
+        file_hits: List[ScanHit] = []
         try:
-            digests.extend(_read_each(files, lambda fh, _path: md5_of(fh), stop))
-        except BaseException as exc:  # re-raised in the caller after the join
-            crashed.append(exc)
-            stop.set()
-
-    worker = threading.Thread(target=hash_files, name="romscan-md5", daemon=True)
-    worker.start()
-    try:
-        found = _read_each(files, lambda fh, path: _scan_file(fh, sig, str(path)), stop)
-    except BaseException:
-        stop.set()
-        raise
-    finally:
-        worker.join()
-    if crashed:
-        raise crashed[0]
-    for path, digest, file_hits in zip(files, digests, found):
-        failure = digest if isinstance(digest, OSError) else file_hits
-        if isinstance(failure, OSError):
-            errors[str(path)] = str(failure)
-        else:
-            scanned += 1
-            checksums[str(path)] = digest
-            hits.extend(file_hits)
+            with open(path, "rb", buffering=0) as fh:  # each read asks for a whole chunk
+                checksums[str(path)] = md5_of(_scanned_chunks(fh, sig, str(path), file_hits))
+        except OSError as exc:
+            errors[str(path)] = str(exc)
+            continue
+        scanned += 1
+        hits.extend(file_hits)
     hits.sort(key=lambda h: (h.source, h.offset))
     return CorpusReport(files_scanned=scanned, hits=hits, checksums=checksums, errors=errors)

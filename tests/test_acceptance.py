@@ -281,7 +281,7 @@ def test_criterion_12_real_image_scan_if_supplied():
               "(set ENTOMBED_ROM or add assets/entombed.bin)")
         pytest.skip("Entombed ROM image not supplied")
     with open(path, "rb") as fh:
-        digest = md5_of(fh)
+        digest = md5_of([fh.read()])  # a cartridge image is a few KiB
     if digest != ENTOMBED_MD5:
         print(f"criterion 12 SKIP: {path} is not the expected dump "
               f"(md5 {digest}, want {ENTOMBED_MD5})")

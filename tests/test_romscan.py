@@ -2,8 +2,8 @@
 
 import builtins
 import errno
+import functools
 import hashlib
-import io
 import os
 import random
 import re
@@ -279,15 +279,14 @@ class TestScanHitValue:
 
 class TestMd5:
     def test_rfc_vectors(self):
-        assert md5_of(io.BytesIO(b"")) == "d41d8cd98f00b204e9800998ecf8427e"
-        assert md5_of(io.BytesIO(b"abc")) == "900150983cd24fb0d6963f7d28e17f72"
+        assert md5_of([]) == "d41d8cd98f00b204e9800998ecf8427e"
+        assert md5_of([b"abc"]) == "900150983cd24fb0d6963f7d28e17f72"
+        assert md5_of([b"a", b"", b"bc"]) == "900150983cd24fb0d6963f7d28e17f72"
 
-    def test_several_chunks_hash_as_the_whole_from_the_position(self):
+    def test_several_chunks_hash_as_the_whole(self):
         data = random.Random(107).randbytes(3 * romscan._CHUNK + 5)
-        assert md5_of(io.BytesIO(data)) == hashlib.md5(data).hexdigest()
-        fh = io.BytesIO(data)
-        fh.seek(10)
-        assert md5_of(fh) == hashlib.md5(data[10:]).hexdigest()
+        chunks = (data[i : i + romscan._CHUNK] for i in range(0, len(data), romscan._CHUNK))
+        assert md5_of(chunks) == hashlib.md5(data).hexdigest()
 
 
 SEAM_CHUNKS = [1, 2, 7, 36, 37, 64]  # around the PRNG signature's 37 bytes and its 36-byte overlap
@@ -377,29 +376,21 @@ class TestChunkSeams:
 
 
 class FailingFile:
-    """An open file whose read number ``fail_at`` (from 0) raises ``OSError(*error)``.
+    """An open file whose read number ``fail_at`` (from 0) raises ``error()``.
 
-    ``read`` and ``readinto`` both count as reads, so it stands in for either
-    pass's handle; ``failed`` records whether the failing read was reached.
+    ``failed`` records whether the failing read was reached.
     """
 
     def __init__(self, fh, fail_at, error):
         self.fh, self.fail_at, self.error = fh, fail_at, error
         self.reads, self.failed = 0, False
 
-    def _count(self):
+    def read(self, size):
         if self.reads == self.fail_at:
             self.failed = True
-            raise OSError(*self.error)
+            raise self.error()
         self.reads += 1
-
-    def read(self, size):
-        self._count()
         return self.fh.read(size)
-
-    def readinto(self, buf):
-        self._count()
-        return self.fh.readinto(buf)
 
     def __enter__(self):
         return self
@@ -408,15 +399,19 @@ class FailingFile:
         self.fh.close()
 
 
-EIO = (errno.EIO, "Input/output error")
+EIO = functools.partial(OSError, errno.EIO, "Input/output error")
+
+
+class Boom(Exception):
+    """An error that is not an ``OSError``, so the scan may not take it for a read failure."""
 
 
 class TestReadFailure:
-    """Each pass opens each file on its own: hashing on a worker thread, scanning on the caller's."""
+    """Each file is opened once; a failing read on its one handle decides that file's fate."""
 
     @pytest.fixture
     def corpus(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(romscan, "_CHUNK", 16)  # 100 bytes: 7 reads and one at the end, per pass
+        monkeypatch.setattr(romscan, "_CHUNK", 16)  # 100 bytes: 7 reads and one at the end
         rng = random.Random(113)
         paths = []
         for name in ("a.bin", "b.bin", "c.bin"):
@@ -428,52 +423,43 @@ class TestReadFailure:
         return paths, clean
 
     @staticmethod
-    def scan_failing(monkeypatch, paths, bad, failures):
-        """Scan with ``bad``'s handle in each pass named in ``failures`` (pass -> (fail_at, error)) failing."""
-        caller = threading.current_thread()
-        opened = {}
+    def failing_open(monkeypatch, bad, fail_at, error):
+        """Make ``bad``'s handle fail at read ``fail_at``; returns the paths opened, in order, and each handle it wrapped."""
+        opened, failing = [], []
 
         def failing_open(path, *args, **kwargs):
+            opened.append(path)
             fh = builtins.open(path, *args, **kwargs)
-            pass_ = "scan" if threading.current_thread() is caller else "hash"
-            if path != bad or pass_ not in failures:
+            if path != bad:
                 return fh
-            opened[pass_] = FailingFile(fh, *failures[pass_])
-            return opened[pass_]
+            failing.append(FailingFile(fh, fail_at, error))
+            return failing[-1]
 
         monkeypatch.setattr(romscan, "open", failing_open, raising=False)
-        return scan_corpus(paths, prng_signature()), opened
+        return opened, failing
 
-    @staticmethod
-    def without(clean, bad, message):
-        return CorpusReport(
+    @pytest.mark.parametrize("fail_at", range(8))
+    def test_a_read_failing_partway_drops_only_that_file(self, corpus, monkeypatch, fail_at):
+        paths, clean = corpus
+        bad = paths[1]
+        opened, failing = self.failing_open(monkeypatch, bad, fail_at, EIO)
+        assert scan_corpus(paths, prng_signature()) == CorpusReport(
             files_scanned=2,
             hits=[h for h in clean.hits if h.source != bad],
             checksums={p: c for p, c in clean.checksums.items() if p != bad},
-            errors={bad: message},
+            errors={bad: "[Errno 5] Input/output error"},
         )
+        assert opened == paths and [f.failed for f in failing] == [True]
 
-    @pytest.mark.parametrize("pass_", ["hash", "scan"])
-    def test_a_read_failing_partway_in_one_pass_drops_only_that_file(self, corpus, monkeypatch, pass_):
-        paths, clean = corpus
-        bad = paths[1]
-        for fail_at in range(8):
-            report, opened = self.scan_failing(monkeypatch, paths, bad, {pass_: (fail_at, EIO)})
-            assert report == self.without(clean, bad, "[Errno 5] Input/output error"), fail_at
-            assert list(opened) == [pass_] and opened[pass_].failed, fail_at
-
-    @pytest.mark.parametrize("hash_at, scan_at", [(0, 0), (7, 0), (0, 7), (3, 5)])
-    def test_when_both_passes_fail_the_hashing_error_is_reported(self, corpus, monkeypatch, hash_at, scan_at):
-        paths, clean = corpus
-        bad = paths[1]
-        failures = {"hash": (hash_at, EIO), "scan": (scan_at, (errno.ENXIO, "No such device or address"))}
-        report, opened = self.scan_failing(monkeypatch, paths, bad, failures)
-        assert report == self.without(clean, bad, "[Errno 5] Input/output error")
-        assert opened["hash"].failed and opened["scan"].failed
-
-
-class Boom(Exception):
-    """An error that is not an ``OSError``, so no pass may take it for a read failure."""
+    @pytest.mark.parametrize("error", [Boom, KeyboardInterrupt])
+    def test_another_error_while_reading_propagates_and_no_later_file_is_opened(self, corpus, monkeypatch, error):
+        paths, _ = corpus
+        for k, bad in enumerate(paths):
+            for fail_at in (0, 3, 7):
+                opened, failing = self.failing_open(monkeypatch, bad, fail_at, functools.partial(error, "read"))
+                with pytest.raises(error, match="read"):
+                    scan_corpus(paths, prng_signature())
+                assert opened == paths[: k + 1] and failing[0].failed, (k, fail_at)
 
 
 class TestWorkerLifecycle:
@@ -488,8 +474,8 @@ class TestWorkerLifecycle:
         assert scan_corpus(paths, prng_signature()).files_scanned == 3
         assert set(threading.enumerate()) <= before
 
-    @pytest.mark.parametrize("target", ["md5_of", "_scan_file"])
-    def test_another_error_in_either_pass_propagates_and_leaves_no_thread(self, paths, monkeypatch, target):
+    @pytest.mark.parametrize("target", ["md5_of", "_scanned_chunks"])
+    def test_another_error_from_hashing_or_scanning_propagates_and_leaves_no_thread(self, paths, monkeypatch, target):
         def boom(*args):
             raise Boom(target)
 
@@ -498,74 +484,6 @@ class TestWorkerLifecycle:
         with pytest.raises(Boom, match=target):
             scan_corpus(paths, prng_signature())
         assert set(threading.enumerate()) <= before
-
-
-class TestOneFailingPassStopsTheOther:
-    """An exception in one pass stops the other at its next file; each test counts the files it read.
-
-    The other pass's first file waits for the stop event both passes share,
-    so it cannot finish every file before the failing pass raises.
-    """
-
-    FILES = 50
-
-    @pytest.fixture
-    def paths(self, tmp_path):
-        for i in range(self.FILES):
-            (tmp_path / f"rom{i:02d}.bin").write_bytes(bytes([0xA9, 0x00, 0x65]) * 100)
-        return sorted(str(p) for p in tmp_path.iterdir())
-
-    @pytest.fixture
-    def stops(self, monkeypatch):
-        """The ``stop`` event each pass passes to ``_read_each``."""
-        stops = []
-        read_each = romscan._read_each
-
-        def recording_read_each(paths, read, stop):
-            stops.append(stop)
-            return read_each(paths, read, stop)
-
-        monkeypatch.setattr(romscan, "_read_each", recording_read_each)
-        return stops
-
-    @pytest.mark.parametrize("error", [Boom, KeyboardInterrupt])
-    def test_a_scan_pass_raise_stops_the_hashing(self, paths, monkeypatch, stops, error):
-        hashed = []
-        md5 = romscan.md5_of
-
-        def waiting_md5(fh):
-            if not hashed:
-                assert stops[0].wait(timeout=10)
-            hashed.append(fh.name)
-            return md5(fh)
-
-        def failing_scan(*args):
-            raise error("scan")
-
-        monkeypatch.setattr(romscan, "md5_of", waiting_md5)
-        monkeypatch.setattr(romscan, "_scan_file", failing_scan)
-        with pytest.raises(error, match="scan"):
-            scan_corpus(paths, prng_signature())
-        assert hashed == paths[:1]
-
-    def test_a_worker_crash_stops_the_scanning(self, paths, monkeypatch, stops):
-        scanned = []
-        scan = romscan._scan_file
-
-        def failing_md5(fh):
-            raise Boom("md5")
-
-        def waiting_scan(fh, sig, source):
-            if not scanned:
-                assert stops[0].wait(timeout=10)
-            scanned.append(source)
-            return scan(fh, sig, source)
-
-        monkeypatch.setattr(romscan, "md5_of", failing_md5)
-        monkeypatch.setattr(romscan, "_scan_file", waiting_scan)
-        with pytest.raises(Boom, match="md5"):
-            scan_corpus(paths, prng_signature())
-        assert scanned == paths[:1]
 
 
 class TestScanCorpus:
@@ -615,6 +533,33 @@ class TestScanCorpus:
         assert report.files_scanned == 0
         assert report.checksums == {}
         assert report.errors == {str(tmp_path): "not a regular file"}
+
+    def test_each_regular_file_is_opened_once(self, tmp_path, monkeypatch):
+        paths = []
+        for i in range(3):
+            (tmp_path / f"rom{i}.bin").write_bytes(bytes([0xA9, 0x00, 0x65]) * 30000)  # two chunks
+            paths.append(str(tmp_path / f"rom{i}.bin"))
+        (tmp_path / "sub").mkdir()
+        opened = []
+
+        def counting_open(path, *args, **kwargs):
+            opened.append(path)
+            return builtins.open(path, *args, **kwargs)
+
+        monkeypatch.setattr(romscan, "open", counting_open, raising=False)
+        report = scan_corpus(paths + [str(tmp_path / "sub")], prng_signature())
+        assert report.files_scanned == 3
+        assert opened == paths
+
+    def test_a_path_listed_twice_counts_twice(self, tmp_path):
+        rom = tmp_path / "rom.bin"
+        rom.write_bytes(b"\x00" * 40 + routine_bytes(**ENTOMBED_BINDINGS) + b"\x00" * 40)
+        once = scan_corpus([str(rom)], prng_signature())
+        twice = scan_corpus([str(rom), str(rom)], prng_signature())
+        assert (once.files_scanned, len(once.hits)) == (1, 1)
+        assert twice.files_scanned == 2
+        assert twice.hits == once.hits * 2
+        assert twice.checksums == once.checksums and twice.errors == {}
 
     def test_one_stat_per_regular_file(self, tmp_path, monkeypatch):
         paths = []
