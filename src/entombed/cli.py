@@ -211,14 +211,13 @@ def _cmd_scan(args: argparse.Namespace) -> int:
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
-    from dataclasses import asdict
     from . import maze_analysis
 
     stats = maze_analysis.maze_survey(args.mazes, args.rows, seed=args.seed)
     _emit(
         "stats",
         {"mazes": args.mazes, "rows": args.rows, "seed": args.seed},
-        {**asdict(stats), "unsolvable_fraction": stats.unsolvable_count / stats.mazes_generated},
+        {**stats._asdict(), "unsolvable_fraction": stats.unsolvable_count / stats.mazes_generated},
     )
     return EXIT_OK
 

@@ -15,8 +15,8 @@ path; that is what the make-break pickup exists to fix.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
-from typing import Sequence, Tuple
+from dataclasses import dataclass
+from typing import NamedTuple, Sequence, Tuple
 
 from .cpu import _check_int, prng_lanes
 from .mazegen import ModelBitSource, PostprocessRule, generate_maze
@@ -84,28 +84,23 @@ def _reaches_bottom(rows: Sequence[int]) -> bool:
     return reach[last] != 0
 
 
-@dataclass(frozen=True)
-class SolvabilityReport:
-    """Whether an open top-row cell of ``grid`` reaches its bottom row.
-
-    ``solvable`` is computed from ``grid.rows`` at construction, so it cannot
-    disagree with the grid.
-    """
+class SolvabilityReport(NamedTuple):
+    """Whether an open top-row cell of ``grid`` reaches its bottom row, as :func:`is_solvable` found."""
 
     grid: Grid
-    solvable: bool = field(init=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "solvable", _reaches_bottom(self.grid.rows))
+    solvable: bool
 
 
 def is_solvable(grid: Grid) -> SolvabilityReport:
-    """Whether 4-neighbour moves lead from the top row to the bottom: a flood fill over rows."""
-    return SolvabilityReport(grid)
+    """Whether 4-neighbour moves lead from the top row to the bottom: a flood fill over rows.
+
+    Computes ``solvable`` from ``grid.rows``, so the report it returns cannot
+    disagree with the grid.
+    """
+    return SolvabilityReport(grid, _reaches_bottom(grid.rows))
 
 
-@dataclass
-class PatternStats:
+class PatternStats(NamedTuple):
     """Tallies from a batch of generated mazes."""
 
     rows_generated: int
@@ -116,9 +111,9 @@ class PatternStats:
 
 
 def derived_seed(seed: int, index: int) -> int:
-    """Per-maze source seed: base seed plus maze index, through the buggy PRNG's table."""
+    """Per-maze source seed: base seed plus maze index (an int >= 0, wrapping), through the buggy PRNG's table."""
     _check_int(seed, "seed", 0xFFFF)
-    return prng_lanes(False)[(seed + index) & 0xFFFF]
+    return prng_lanes(False)[(seed + _check_int(index, "index")) & 0xFFFF]
 
 
 def maze_survey(n_mazes: int, rows_per_maze: int = 60, *, seed: int) -> PatternStats:

@@ -27,8 +27,7 @@ from __future__ import annotations
 import sys
 from array import array
 from collections import Counter
-from dataclasses import dataclass
-from typing import Callable, Iterable, List, Sequence
+from typing import Callable, Iterable, List, NamedTuple, Sequence
 
 from .cpu import _check_int, prng_lanes
 
@@ -70,8 +69,7 @@ def buggy_step(state: int) -> int:
     return (high << 8) | ((low_sum + 1) & 0xFF)
 
 
-@dataclass
-class AgreementReport:
+class AgreementReport(NamedTuple):
     """Exhaustive comparison of the two step functions over all 65536 states."""
 
     fraction_equal: float
@@ -110,8 +108,7 @@ def _agreement(buggy, correct) -> AgreementReport:
     return AgreementReport(1 - mismatch / WORD_COUNT, mismatch, mismatch - low_differs, plus_one, minus_one)
 
 
-@dataclass(frozen=True)
-class OrbitStats:
+class OrbitStats(NamedTuple):
     """What one seed's whole forward orbit looks like.
 
     ``distinct_values`` counts the seed itself as visited, so it equals
@@ -134,8 +131,7 @@ _UNSEEN = -1
 _ON_PATH = -2
 
 
-@dataclass(frozen=True)
-class RhoDecomposition:
+class RhoDecomposition(NamedTuple):
     """The functional graph of a 16-bit successor table, labelled state by state.
 
     Every orbit of a map on a finite set is rho-shaped: a tail of distinct

@@ -21,7 +21,7 @@ import re
 from dataclasses import dataclass, field
 from functools import cached_property
 from types import MappingProxyType
-from typing import BinaryIO, Dict, Iterable, Iterator, List, Mapping, Tuple, Union
+from typing import BinaryIO, Dict, Iterable, Iterator, List, Mapping, NamedTuple, Tuple, Union
 
 from .cpu import _check_int, assemble
 
@@ -174,8 +174,7 @@ def _scanned_chunks(fh: BinaryIO, sig: SignatureTemplate, source: str, hits: Lis
         yield chunk
 
 
-@dataclass
-class CorpusReport:
+class CorpusReport(NamedTuple):
     """Outcome of scanning a set of files for one signature."""
 
     files_scanned: int

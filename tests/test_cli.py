@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from entombed import __version__, cli, cpu, prng, romscan
+from entombed import __version__, cli, cpu, maze_analysis, prng, romscan
 
 from reference_cpu import routine_bytes
 
@@ -494,6 +494,27 @@ class TestEnvelope:
         assert exc.value.code == 2
 
 
+class TestRecords:
+    """The result records the commands report from cannot be changed once built."""
+
+    @pytest.mark.parametrize(
+        "build, field",
+        [
+            (prng.compare_all_steps, "mismatch_count"),
+            (lambda: prng.canonical_seed_survey()[0], "distinct_values"),
+            (lambda: prng.rho_decomposition(cpu.prng_lanes(False), [0]), "tail"),
+            (lambda: maze_analysis.maze_survey(1, seed=1), "unsolvable_count"),
+            (lambda: maze_analysis.is_solvable(maze_analysis.Grid([0])), "solvable"),
+            (lambda: romscan.scan_corpus([], romscan.prng_signature()), "files_scanned"),
+        ],
+        ids=["AgreementReport", "OrbitStats", "RhoDecomposition", "PatternStats", "SolvabilityReport", "CorpusReport"],
+    )
+    def test_a_field_cannot_be_assigned(self, build, field):
+        record = build()
+        with pytest.raises(AttributeError):
+            setattr(record, field, getattr(record, field))
+
+
 class TestColdStart:
     """Each command imports only the package modules it runs, in a fresh interpreter."""
 
@@ -522,11 +543,29 @@ class TestColdStart:
             # no stdlib names: site preloads some of them on some machines
             "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'entombed')))\n"
         )
+        out = self.run_fresh(code, tmp_path)
+        assert json.loads(out) == ["entombed", "entombed.cli", *(f"entombed.{m}" for m in loaded)]
+
+    def test_prng_does_not_load_dataclasses(self, tmp_path):
+        # dataclasses imports inspect: about 10 ms of a launch that runs none of it
+        probe = "import sys\nprint('dataclasses' in sys.modules)\n"
+        launch = (
+            "import contextlib, io\n"
+            "import entombed.cli as cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    cli.main(['prng', '--mode', 'compare'])\n"
+        )
+        # against a bare interpreter in the same environment, since site may preload it
+        assert self.run_fresh(launch + probe, tmp_path) == self.run_fresh(probe, tmp_path)
+
+    @staticmethod
+    def run_fresh(code, cwd):
+        """Standard output of ``code`` run in a fresh interpreter that can import this package."""
         src = str(Path(cli.__file__).resolve().parents[1])
         pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         env = {**os.environ, "PYTHONPATH": pythonpath}
         out = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, timeout=60, env=env, cwd=tmp_path
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=60, env=env, cwd=cwd
         )
         assert out.returncode == 0, out.stderr
-        assert json.loads(out.stdout) == ["entombed", "entombed.cli", *(f"entombed.{m}" for m in loaded)]
+        return out.stdout

@@ -372,6 +372,12 @@ class TestDerivedSeed:
             with pytest.raises(ValueError, match=r"seed must be an int in \[0, 65535\], got "):
                 derived_seed(seed, 0)
 
+    @pytest.mark.parametrize("index", [True, -1, 1.5, "1"])
+    def test_index_must_be_an_int_from_0_up(self, index):
+        # True would read as 1, and -1 as the entry for state 65535
+        with pytest.raises(ValueError, match=r"index must be an int in \[0, inf\], got "):
+            derived_seed(0, index)
+
     def test_period_is_65536_in_the_index(self):
         for seed in (0, 1, 0xFF00, 0xFFFF):
             for index in (0, 1, 255, 0xFFFF):
